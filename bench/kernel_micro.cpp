@@ -251,10 +251,13 @@ void BM_Conv1dForwardSimd(benchmark::State& state, nn::simd_backend backend) {
     state.SetItemsProcessed(state.iterations() * 32);
 }
 
-// Int8 deployment path: the q8 axpy kernels keep int32 accumulation
-// exact, so every vector row must produce bit-identical logits — these
-// rows measure what the vector kernels buy without changing a single
-// score.
+// Int8 deployment path: the batched int8 executor keeps int32
+// accumulation exact, so every vector row must produce bit-identical
+// logits — these rows measure what the vector kernels buy without
+// changing a single score.  BM_CnnInt8InferenceSimd times one window
+// (predict_logit, a batch of one); BM_CnnInt8InferRowsSimd scores 32
+// windows per call through predict_proba_batch, the serving shape, at
+// the same batch as BM_CnnFloatInferSimd.
 void BM_CnnInt8InferenceSimd(benchmark::State& state, nn::simd_backend backend) {
     simd_backend_scope scope(backend);
     const std::size_t window = 40;
@@ -267,6 +270,24 @@ void BM_CnnInt8InferenceSimd(benchmark::State& state, nn::simd_backend backend) 
         const float logit = qmodel.predict_logit(seg.values());
         benchmark::DoNotOptimize(logit);
     }
+}
+
+void BM_CnnInt8InferRowsSimd(benchmark::State& state, nn::simd_backend backend) {
+    simd_backend_scope scope(backend);
+    const std::size_t window = 40;
+    auto net = core::build_fallsense_cnn(window, 9);
+    const quant::cnn_spec spec = quant::extract_cnn_spec(*net, window);
+    const nn::tensor calibration = random_tensor({32, window, 9}, 10);
+    const quant::quantized_cnn qmodel(spec, calibration);
+    const nn::tensor rows = random_tensor({32, window, 9}, 8);
+    std::vector<float> probs(32);
+    quant::batch_inference_scratch scratch;
+    for (auto _ : state) {
+        qmodel.predict_proba_batch(rows.values(), 32, probs, scratch);
+        benchmark::DoNotOptimize(probs.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * 32);
 }
 
 // End-to-end float CNN inference through the model's planned workspace
@@ -370,6 +391,8 @@ void register_simd_benchmarks() {
                                      BM_Conv1dForwardSimd, backend);
         benchmark::RegisterBenchmark(("BM_CnnInt8InferenceSimd" + tag).c_str(),
                                      BM_CnnInt8InferenceSimd, backend);
+        benchmark::RegisterBenchmark(("BM_CnnInt8InferRowsSimd" + tag).c_str(),
+                                     BM_CnnInt8InferRowsSimd, backend);
         benchmark::RegisterBenchmark(("BM_CnnFloatInferSimd" + tag).c_str(),
                                      BM_CnnFloatInferSimd, backend, true);
         benchmark::RegisterBenchmark(("BM_CnnFloatInferNoFuseSimd" + tag).c_str(),

@@ -778,74 +778,6 @@ void col2im_acc(const float* gcol, std::size_t batch, std::size_t time, std::siz
     });
 }
 
-namespace {
-
-/// Scalar int8 axpy: the legacy quantized inner loop, verbatim.
-void q8_axpy_scalar(std::size_t n, std::int32_t xv, const std::int8_t* w,
-                    std::int32_t* acc) {
-    for (std::size_t j = 0; j < n; ++j) acc[j] += xv * static_cast<std::int32_t>(w[j]);
-}
-
-#if defined(FALLSENSE_SIMD_X86)
-
-__attribute__((target("avx2"))) void q8_axpy_avx2(std::size_t n, std::int32_t xv,
-                                                  const std::int8_t* w, std::int32_t* acc) {
-    const __m256i xvv = _mm256_set1_epi32(xv);
-    const std::size_t n8 = n - n % 8;
-    for (std::size_t j = 0; j < n8; j += 8) {
-        const __m128i w8 = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(w + j));
-        const __m256i w32 = _mm256_cvtepi8_epi32(w8);
-        __m256i accv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + j));
-        accv = _mm256_add_epi32(accv, _mm256_mullo_epi32(xvv, w32));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + j), accv);
-    }
-    for (std::size_t j = n8; j < n; ++j) acc[j] += xv * static_cast<std::int32_t>(w[j]);
-}
-
-__attribute__((target("avx512f"))) void q8_axpy_avx512(std::size_t n, std::int32_t xv,
-                                                       const std::int8_t* w,
-                                                       std::int32_t* acc) {
-    const __m512i xvv = _mm512_set1_epi32(xv);
-    const std::size_t n16 = n - n % 16;
-    for (std::size_t j = 0; j < n16; j += 16) {
-        const __m128i w8 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + j));
-        const __m512i w32 = _mm512_cvtepi8_epi32(w8);
-        __m512i accv = _mm512_loadu_si512(reinterpret_cast<const void*>(acc + j));
-        accv = _mm512_add_epi32(accv, _mm512_mullo_epi32(xvv, w32));
-        _mm512_storeu_si512(reinterpret_cast<void*>(acc + j), accv);
-    }
-    for (std::size_t j = n16; j < n; ++j) acc[j] += xv * static_cast<std::int32_t>(w[j]);
-}
-
-#elif defined(FALLSENSE_SIMD_NEON)
-
-void q8_axpy_neon(std::size_t n, std::int32_t xv, const std::int8_t* w, std::int32_t* acc) {
-    const std::size_t n8 = n - n % 8;
-    for (std::size_t j = 0; j < n8; j += 8) {
-        const int16x8_t w16 = vmovl_s8(vld1_s8(w + j));
-        const int32x4_t lo = vmovl_s16(vget_low_s16(w16));
-        const int32x4_t hi = vmovl_s16(vget_high_s16(w16));
-        vst1q_s32(acc + j, vmlaq_n_s32(vld1q_s32(acc + j), lo, xv));
-        vst1q_s32(acc + j + 4, vmlaq_n_s32(vld1q_s32(acc + j + 4), hi, xv));
-    }
-    for (std::size_t j = n8; j < n; ++j) acc[j] += xv * static_cast<std::int32_t>(w[j]);
-}
-
-#endif
-
-}  // namespace
-
-q8_axpy_fn q8_axpy_kernel() {
-#if defined(FALLSENSE_SIMD_X86)
-    const simd_backend backend = active_simd_backend();
-    if (backend == simd_backend::avx512) return &q8_axpy_avx512;
-    if (backend == simd_backend::avx2_fma) return &q8_axpy_avx2;
-#elif defined(FALLSENSE_SIMD_NEON)
-    if (active_simd_backend() == simd_backend::neon) return &q8_axpy_neon;
-#endif
-    return &q8_axpy_scalar;
-}
-
 namespace reference {
 
 void conv1d_forward(const float* x, const float* w, const float* b, std::size_t batch,

@@ -62,15 +62,6 @@ void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const float* a, const 
 void gemm_nn_bias_act(std::size_t m, std::size_t n, std::size_t k, const float* a,
                       const float* b, const float* bias, fused_act act, float* c);
 
-/// The int8 GEMM inner update: acc[0..n) += xv · w[0..n) with exact int32
-/// accumulation.  Returns the kernel for the active simd backend; callers
-/// hoist the lookup out of their loops.  All kernels are bit-identical
-/// (integer sums are exact), so int8 inference does not depend on the
-/// dispatch setting.
-using q8_axpy_fn = void (*)(std::size_t n, std::int32_t xv, const std::int8_t* w,
-                            std::int32_t* acc);
-q8_axpy_fn q8_axpy_kernel();
-
 /// C[m x n] += A[k x m]ᵀ · B[k x n] — the weight-gradient product (reduction
 /// over the batch·time dimension k).  Deterministic chunked reduction; see
 /// the file comment.  Dispatches like gemm_nn: scalar mode reproduces the

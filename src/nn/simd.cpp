@@ -10,7 +10,9 @@ namespace {
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 simd_backend probe_best_backend() {
-    if (__builtin_cpu_supports("avx512f")) return simd_backend::avx512;
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw")) {
+        return simd_backend::avx512;
+    }
     if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
         return simd_backend::avx2_fma;
     }

@@ -1,14 +1,15 @@
 // Runtime SIMD dispatch for the nn/quant GEMM microkernels.
 //
 // The hot kernels (gemm_nn row updates, the fused bias+activation GEMM,
-// the gradient reduction rank-1 updates, the int8 accumulator axpy) exist
+// the gradient reduction rank-1 updates, the int8 executor's quantizer and
+// GEMM in src/quant/q8_kernels.hpp) exist
 // in several flavors: the scalar reference loops — the bit-exact
 // determinism baseline every golden manifest is pinned to — and vectorized
 // variants compiled behind target attributes and selected at runtime from
 // a one-time CPU-feature probe.
 //
 // Backends, best-first per architecture:
-//   x86-64:  avx512 (AVX-512F) -> avx2-fma (AVX2+FMA) -> scalar
+//   x86-64:  avx512 (AVX-512F+BW) -> avx2-fma (AVX2+FMA) -> scalar
 //   aarch64: neon -> scalar
 //
 // Mode resolution, in priority order:
@@ -49,7 +50,7 @@ enum class simd_backend {
     scalar = 0,
     neon = 1,      ///< aarch64 baseline
     avx2_fma = 2,  ///< x86-64 AVX2+FMA
-    avx512 = 3,    ///< x86-64 AVX-512F
+    avx512 = 3,    ///< x86-64 AVX-512F with AVX-512BW (int16 madd)
 };
 
 const char* simd_mode_name(simd_mode mode);

@@ -31,7 +31,12 @@ qparams choose_weight_qparams(float max_abs) {
 }
 
 std::int8_t quantize_value(float real, const qparams& qp) {
-    const long q = std::lround(static_cast<double>(real) / qp.scale) + qp.zero_point;
+    // lround is unspecified for NaN and for values beyond the range of long,
+    // so saturate first: every input gets one defined code.
+    constexpr double k_sat = 2147483648.0;  // 2^31
+    double scaled = static_cast<double>(real) / qp.scale;
+    if (std::isnan(scaled)) scaled = -k_sat;
+    const long q = std::lround(std::clamp(scaled, -k_sat, k_sat)) + qp.zero_point;
     return static_cast<std::int8_t>(std::clamp(q, long{-128}, long{127}));
 }
 
@@ -77,10 +82,11 @@ std::int32_t multiply_by_quantized_multiplier(std::int32_t acc,
 std::int8_t requantize(std::int32_t acc, const quantized_multiplier& mult,
                        std::int32_t output_zero_point, std::int32_t clamp_min,
                        std::int32_t clamp_max) {
-    std::int32_t scaled = multiply_by_quantized_multiplier(acc, mult);
-    scaled += output_zero_point;
-    scaled = std::clamp(scaled, clamp_min, clamp_max);
-    return static_cast<std::int8_t>(scaled);
+    // Offset in 64 bits: a result near the int32 limit must clamp, not wrap.
+    const std::int64_t scaled =
+        static_cast<std::int64_t>(multiply_by_quantized_multiplier(acc, mult)) +
+        output_zero_point;
+    return static_cast<std::int8_t>(std::clamp<std::int64_t>(scaled, clamp_min, clamp_max));
 }
 
 }  // namespace fallsense::quant

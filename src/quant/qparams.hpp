@@ -27,6 +27,11 @@ qparams choose_activation_qparams(float min_value, float max_value);
 /// Symmetric int8 params for weights with |w| <= max_abs.
 qparams choose_weight_qparams(float max_abs);
 
+/// round(real / scale) + zero_point, rounded half away from zero and
+/// clamped to int8.  Defined for every input: ±inf and any |real / scale|
+/// past 2^31 saturate, and NaN quantizes like −inf (to −128 for every
+/// valid zero point).  The int8 executor's vector input pass
+/// (quant/q8_kernels.hpp) reproduces it bit for bit.
 std::int8_t quantize_value(float real, const qparams& qp);
 float dequantize_value(std::int8_t q, const qparams& qp);
 

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <cstdlib>
+#include <limits>
 
 #include "nn/activations.hpp"
-#include "nn/gemm.hpp"
+#include "nn/simd.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -35,6 +36,10 @@ std::vector<std::int32_t> quantize_bias(const nn::tensor& b, float input_scale,
     }
     return out;
 }
+
+/// Fixed batch-dispatch grain: chunk boundaries (and therefore which arena
+/// region a segment uses) are a pure function of the segment index.
+constexpr std::size_t k_batch_grain = 16;
 
 }  // namespace
 
@@ -80,6 +85,8 @@ quantized_cnn::quantized_cnn(const cnn_spec& spec, const nn::tensor& calibration
         prev_q = qd.output_q;
         trunk_.push_back(std::move(qd));
     }
+    validate();
+    pack();
 }
 
 quantized_cnn::quantized_cnn(quantized_cnn_parts parts)
@@ -113,115 +120,105 @@ quantized_cnn::quantized_cnn(quantized_cnn_parts parts)
         prev = d.out_features;
     }
     FS_ARG_CHECK(prev == 1, "quantized trunk must end in one logit");
+    validate();
+    pack();
+}
+
+namespace {
+
+void check_scale(const qparams& qp) {
+    FS_ARG_CHECK(std::isfinite(qp.scale) && qp.scale > 0.0f,
+                 "quantization scale must be finite and positive");
+}
+
+void check_activation(const qparams& qp) {
+    check_scale(qp);
+    FS_ARG_CHECK(qp.zero_point >= -128 && qp.zero_point <= 127,
+                 "activation zero point outside int8");
+}
+
+void check_weights(const qparams& qp) {
+    check_scale(qp);
+    FS_ARG_CHECK(qp.zero_point == 0, "int8 weights must be symmetric");
+}
+
+void check_multiplier(const quantized_multiplier& m) {
+    FS_ARG_CHECK(m.mantissa >= (std::int32_t{1} << 30),
+                 "requantize mantissa outside [2^30, 2^31)");
+    FS_ARG_CHECK(m.right_shift >= 0 && m.right_shift <= 31,
+                 "requantize right shift outside [0, 31]");
+}
+
+/// Every |x - zp| is at most 255, so sum|w|·255 + |bias| bounds each
+/// output's accumulator at every step of the reduction, in any order.
+void check_accumulator_bound(std::span<const std::int8_t> weight,
+                             std::span<const std::int32_t> bias) {
+    const std::size_t n = bias.size();
+    for (std::size_t o = 0; o < n; ++o) {
+        std::int64_t bound = std::abs(static_cast<std::int64_t>(bias[o]));
+        for (std::size_t i = o; i < weight.size(); i += n) {
+            bound += std::abs(static_cast<std::int64_t>(weight[i])) * 255;
+        }
+        FS_ARG_CHECK(bound <= std::numeric_limits<std::int32_t>::max(),
+                     "layer accumulator can overflow int32");
+    }
+}
+
+}  // namespace
+
+void quantized_cnn::validate() const {
+    check_activation(input_q_);
+    check_activation(concat_q_);
+    for (const q_conv_branch& b : branches_) {
+        check_weights(b.weight_q);
+        check_multiplier(b.requant);
+        check_accumulator_bound(b.weight, b.bias);
+    }
+    for (const q_dense& d : trunk_) {
+        check_weights(d.weight_q);
+        check_activation(d.output_q);
+        check_multiplier(d.requant);
+        check_accumulator_bound(d.weight, d.bias);
+    }
+}
+
+void quantized_cnn::pack() {
+    std::size_t concat_width = 0;
+    for (const q_conv_branch& b : branches_) {
+        // The conv feeds a ReLU: clamp at the concat zero point.
+        packed_branches_.push_back(pack_q8_layer(b.weight, b.bias, b.kernel * b.in_channels,
+                                                 b.out_channels, b.requant,
+                                                 concat_q_.zero_point, concat_q_.zero_point));
+        const std::size_t conv_time = time_steps_ - b.kernel + 1;
+        // +1: with an odd kernel×cin the vector tiers read one padding tap
+        // past the last row's patch.
+        patch_elems_ = std::max(patch_elems_, time_steps_ * b.in_channels + 1);
+        conv_elems_ = std::max(conv_elems_, conv_time * q8_row_width(b.out_channels));
+        concat_width += (conv_time / b.pool) * b.out_channels;
+    }
+    concat_stride_ = q8_row_width(concat_width);
+    for (const q_dense& d : trunk_) {
+        const std::int32_t clamp_min = d.relu ? d.output_q.zero_point : -128;
+        packed_trunk_.push_back(pack_q8_layer(d.weight, d.bias, d.in_features, d.out_features,
+                                              d.requant, d.output_q.zero_point, clamp_min));
+        hidden_stride_ = std::max(hidden_stride_, q8_row_width(d.out_features));
+    }
+    chunk_elems_ = patch_elems_ + conv_elems_ +
+                   k_batch_grain * (concat_stride_ + 2 * hidden_stride_);
 }
 
 float quantized_cnn::predict_logit(std::span<const float> segment) const {
-    inference_scratch scratch;
-    return predict_logit(segment, scratch);
-}
-
-float quantized_cnn::predict_logit(std::span<const float> segment,
-                                   inference_scratch& scratch) const {
     FS_ARG_CHECK(segment.size() == time_steps_ * input_channels_,
                  "segment size mismatch");
-    obs::add_counter("quant/inferences");
-
-    // Quantize the input once.
-    scratch.qinput.resize(segment.size());
-    std::int8_t* const qinput = scratch.qinput.data();
-    for (std::size_t i = 0; i < segment.size(); ++i) {
-        qinput[i] = quantize_value(segment[i], input_q_);
-    }
-
-    // Branches: int8 conv (+fused ReLU via clamp) then int8 max-pool.  The
-    // conv is structured as axpy updates along the contiguous out-channel
-    // axis of the [kernel, cin, cout] weights: one int32 accumulator row
-    // per output step, updated with xv * w for every (k, c) input sample.
-    // Each accumulator still sums the same int32 products (exact, so order
-    // is irrelevant), which keeps results bit-identical to the scalar
-    // reference under either dispatch mode (nn::q8_axpy_kernel).
-    const nn::q8_axpy_fn axpy = nn::q8_axpy_kernel();
-    scratch.concat.clear();
-    std::size_t channel_base = 0;
-    for (const q_conv_branch& b : branches_) {
-        const std::size_t conv_time = time_steps_ - b.kernel + 1;
-        scratch.conv_out.resize(conv_time * b.out_channels);
-        std::int8_t* const conv_out = scratch.conv_out.data();
-        if (scratch.acc.size() < b.out_channels) scratch.acc.resize(b.out_channels);
-        std::int32_t* const acc = scratch.acc.data();
-        for (std::size_t t = 0; t < conv_time; ++t) {
-            std::memcpy(acc, b.bias.data(), b.out_channels * sizeof(std::int32_t));
-            for (std::size_t k = 0; k < b.kernel; ++k) {
-                const std::int8_t* x =
-                    qinput + (t + k) * input_channels_ + channel_base;
-                const std::int8_t* wk =
-                    b.weight.data() + (k * b.in_channels) * b.out_channels;
-                for (std::size_t c = 0; c < b.in_channels; ++c) {
-                    const std::int32_t xv =
-                        static_cast<std::int32_t>(x[c]) - input_q_.zero_point;
-                    axpy(b.out_channels, xv, wk + c * b.out_channels, acc);
-                }
-            }
-            for (std::size_t o = 0; o < b.out_channels; ++o) {
-                // Fused ReLU: clamp_min at the output zero point.
-                conv_out[t * b.out_channels + o] =
-                    requantize(acc[o], b.requant, concat_q_.zero_point,
-                               concat_q_.zero_point, 127);
-            }
-        }
-        const std::size_t pooled_time = conv_time / b.pool;
-        for (std::size_t t = 0; t < pooled_time; ++t) {
-            for (std::size_t o = 0; o < b.out_channels; ++o) {
-                std::int8_t best = conv_out[(t * b.pool) * b.out_channels + o];
-                for (std::size_t p = 1; p < b.pool; ++p) {
-                    best = std::max(best,
-                                    conv_out[(t * b.pool + p) * b.out_channels + o]);
-                }
-                scratch.concat.push_back(best);
-            }
-        }
-        channel_base += b.in_channels;
-    }
-
-    // Trunk: int8 dense chain, ping-ponging between the two act buffers so
-    // no step allocates.
-    const std::vector<std::int8_t>* act = &scratch.concat;
-    std::vector<std::int8_t>* next = &scratch.act_a;
-    qparams act_q = concat_q_;
-    for (const q_dense& d : trunk_) {
-        FS_CHECK(act->size() == d.in_features, "quantized trunk width mismatch");
-        next->resize(d.out_features);
-        if (scratch.acc.size() < d.out_features) scratch.acc.resize(d.out_features);
-        std::int32_t* const acc = scratch.acc.data();
-        std::memcpy(acc, d.bias.data(), d.out_features * sizeof(std::int32_t));
-        for (std::size_t i = 0; i < d.in_features; ++i) {
-            const std::int32_t xv =
-                static_cast<std::int32_t>((*act)[i]) - act_q.zero_point;
-            axpy(d.out_features, xv, d.weight.data() + i * d.out_features, acc);
-        }
-        for (std::size_t o = 0; o < d.out_features; ++o) {
-            const std::int32_t clamp_min = d.relu ? d.output_q.zero_point : -128;
-            (*next)[o] = requantize(acc[o], d.requant, d.output_q.zero_point, clamp_min, 127);
-        }
-        act = next;
-        next = (next == &scratch.act_a) ? &scratch.act_b : &scratch.act_a;
-        act_q = d.output_q;
-    }
-    FS_CHECK(act->size() == 1, "quantized trunk must end in one logit");
-    return dequantize_value((*act)[0], act_q);
+    batch_inference_scratch scratch;
+    float logit = 0.0f;
+    run_batch(segment.data(), 1, &logit, scratch);
+    return logit;
 }
 
 float quantized_cnn::predict_proba(std::span<const float> segment) const {
     return nn::sigmoid_scalar(predict_logit(segment));
 }
-
-namespace {
-
-/// Fixed batch-dispatch grain: chunk boundaries (and therefore which
-/// scratch slot a segment uses) are a pure function of the segment index.
-constexpr std::size_t k_batch_grain = 4;
-
-}  // namespace
 
 void quantized_cnn::predict_proba_batch(std::span<const float> segments, std::size_t count,
                                         std::span<float> out) const {
@@ -232,29 +229,106 @@ void quantized_cnn::predict_proba_batch(std::span<const float> segments, std::si
 void quantized_cnn::predict_proba_batch(std::span<const float> segments, std::size_t count,
                                         std::span<float> out,
                                         batch_inference_scratch& scratch) const {
-    const std::size_t elems = time_steps_ * input_channels_;
-    FS_ARG_CHECK(segments.size() == count * elems, "batch segment buffer size mismatch");
+    FS_ARG_CHECK(segments.size() == count * time_steps_ * input_channels_,
+                 "batch segment buffer size mismatch");
     FS_ARG_CHECK(out.size() == count, "batch output size mismatch");
+    run_batch(segments.data(), count, out.data(), scratch);
+    for (float& p : out) p = nn::sigmoid_scalar(p);
+}
+
+void quantized_cnn::run_batch(const float* segments, std::size_t count, float* logits,
+                              batch_inference_scratch& scratch) const {
     if (count == 0) return;
+    obs::add_counter("quant/inferences", count);
+    const std::size_t elems = time_steps_ * input_channels_;
     const std::size_t chunk_count = (count + k_batch_grain - 1) / k_batch_grain;
-    if (scratch.chunks.size() < chunk_count) scratch.chunks.resize(chunk_count);
+    if (scratch.qinput.size() < count * elems) scratch.qinput.resize(count * elems);
+    if (scratch.arena.size() < chunk_count * chunk_elems_) {
+        scratch.arena.resize(chunk_count * chunk_elems_);
+    }
     // Single-reference capture keeps the dispatch closure inside the
     // std::function small-buffer store — no per-batch heap allocation.
     struct dispatch_ctx {
         const quantized_cnn* self;
         const float* segments;
-        float* out;
+        float* logits;
         std::size_t elems;
-        inference_scratch* chunks;
-    } ctx{this, segments.data(), out.data(), elems, scratch.chunks.data()};
-    util::parallel_for_chunks(0, count, k_batch_grain,
-                              [&ctx](std::size_t c, std::size_t lo, std::size_t hi) {
-                                  inference_scratch& sc = ctx.chunks[c];
-                                  for (std::size_t i = lo; i < hi; ++i) {
-                                      ctx.out[i] = nn::sigmoid_scalar(ctx.self->predict_logit(
-                                          {ctx.segments + i * ctx.elems, ctx.elems}, sc));
-                                  }
-                              });
+        std::int8_t* qinput;
+        std::int16_t* arena;
+    } ctx{this, segments, logits, elems, scratch.qinput.data(), scratch.arena.data()};
+    util::parallel_for_chunks(
+        0, count, k_batch_grain, [&ctx](std::size_t c, std::size_t lo, std::size_t hi) {
+            ctx.self->run_chunk(ctx.segments + lo * ctx.elems, hi - lo, ctx.logits + lo,
+                                ctx.qinput + lo * ctx.elems,
+                                ctx.arena + c * ctx.self->chunk_elems_);
+        });
+}
+
+void quantized_cnn::run_chunk(const float* segments, std::size_t count, float* logits,
+                              std::int8_t* qinput, std::int16_t* arena) const {
+    const q8_kernels& kernels = q8_kernels_for(nn::active_simd_backend());
+    const std::size_t elems = time_steps_ * input_channels_;
+    std::int16_t* const patch = arena;
+    std::int16_t* const conv = patch + patch_elems_;
+    std::int16_t* const concat = conv + conv_elems_;
+    std::int16_t* const act_a = concat + k_batch_grain * concat_stride_;
+    std::int16_t* const act_b = act_a + k_batch_grain * hidden_stride_;
+
+    // Quantize: the chunk's whole input in one vector pass.
+    kernels.quantize(segments, count * elems, input_q_, qinput);
+
+    // Branches: per window, gather each branch's channels into a [time,
+    // cin] patch of (x - zp), run the conv as a GEMM whose rows are the
+    // overlapping kernel×cin windows of that patch, and max-pool straight
+    // into the window's concat row.
+    for (std::size_t w = 0; w < count; ++w) {
+        const std::int8_t* x = qinput + w * elems;
+        std::int16_t* row = concat + w * concat_stride_;
+        std::size_t channel_base = 0;
+        for (std::size_t bi = 0; bi < branches_.size(); ++bi) {
+            const q_conv_branch& b = branches_[bi];
+            const std::size_t cin = b.in_channels;
+            std::int16_t* p = patch;
+            for (std::size_t t = 0; t < time_steps_; ++t) {
+                for (std::size_t ch = 0; ch < cin; ++ch) {
+                    *p++ = static_cast<std::int16_t>(x[t * input_channels_ + channel_base + ch] -
+                                                     input_q_.zero_point);
+                }
+            }
+            std::fill(p, patch + patch_elems_, std::int16_t{0});
+            const std::size_t conv_time = time_steps_ - b.kernel + 1;
+            const std::size_t ldc = q8_row_width(b.out_channels);
+            kernels.gemm({conv_time, patch, cin, b.weight.data(), &packed_branches_[bi], conv, ldc});
+            const std::size_t pooled_time = conv_time / b.pool;
+            for (std::size_t t = 0; t < pooled_time; ++t) {
+                const std::int16_t* src = conv + t * b.pool * ldc;
+                for (std::size_t o = 0; o < b.out_channels; ++o) {
+                    std::int16_t best = src[o];
+                    for (std::size_t k = 1; k < b.pool; ++k) best = std::max(best, src[k * ldc + o]);
+                    *row++ = best;
+                }
+            }
+            channel_base += cin;
+        }
+        std::fill(row, concat + (w + 1) * concat_stride_, std::int16_t{0});
+    }
+
+    // Trunk: one batch GEMM per dense layer, ping-ponging the act buffers.
+    const std::int16_t* a = concat;
+    std::size_t lda = concat_stride_;
+    std::int16_t* next = act_a;
+    for (std::size_t li = 0; li < trunk_.size(); ++li) {
+        kernels.gemm({count, a, lda, trunk_[li].weight.data(), &packed_trunk_[li], next,
+                      hidden_stride_});
+        a = next;
+        lda = hidden_stride_;
+        next = (next == act_a) ? act_b : act_a;
+    }
+    const float logit_scale = trunk_.back().output_q.scale;
+    for (std::size_t w = 0; w < count; ++w) {
+        // dequantize_value: scale · (q - zp), and the trunk rows hold q - zp.
+        logits[w] = logit_scale * static_cast<float>(a[w * lda]);
+    }
 }
 
 std::size_t quantized_cnn::weight_bytes() const {

@@ -14,28 +14,21 @@
 #include <vector>
 
 #include "quant/cnn_spec.hpp"
+#include "quant/q8_kernels.hpp"
 #include "quant/qparams.hpp"
 
 namespace fallsense::quant {
 
-/// Reusable activation buffers for one int8 inference.  Each vector grows
-/// once to its high-water mark (a pure function of the model shape) and is
-/// reused, so steady-state inference performs zero heap allocations — the
-/// serving tick's contract.  A scratch must not be shared by concurrent
-/// inferences.
-struct inference_scratch {
-    std::vector<std::int8_t> qinput;
-    std::vector<std::int8_t> conv_out;
-    std::vector<std::int8_t> concat;
-    std::vector<std::int8_t> act_a;  ///< dense ping-pong buffers
-    std::vector<std::int8_t> act_b;
-    std::vector<std::int32_t> acc;   ///< int32 accumulator row (axpy kernels)
-};
-
-/// Per-chunk scratch for predict_proba_batch: chunk c of the fixed-grain
-/// dispatch owns chunks[c], so concurrent chunks never share a buffer.
+/// Reusable buffers for int8 batch inference.  Each grows once to its
+/// high-water mark (a pure function of the model shape and the largest
+/// batch) and is reused, so steady-state batches perform zero heap
+/// allocations — the serving tick's contract.  Chunk c of the fixed-grain
+/// batch dispatch owns its own region of `arena`, so concurrent chunks
+/// never share a buffer; a scratch must not be shared by concurrent
+/// batches.
 struct batch_inference_scratch {
-    std::vector<inference_scratch> chunks;
+    std::vector<std::int8_t> qinput;  ///< [count, time, channels] quantized input
+    std::vector<std::int16_t> arena;  ///< per chunk: branch patch, conv rows, trunk rows
 };
 
 struct q_conv_branch {
@@ -82,31 +75,31 @@ public:
     /// Quantize `spec` using activation ranges from `calibration_segments`.
     quantized_cnn(const cnn_spec& spec, const nn::tensor& calibration_segments);
 
-    /// Assemble from already-quantized parts (firmware loading).  Validates
-    /// structural consistency (shapes, trunk chaining, final logit).
+    /// Assemble from already-quantized parts (firmware loading).  Throws
+    /// std::invalid_argument unless the parts are structurally consistent
+    /// (shapes, trunk chaining, final logit) and executable: scales finite
+    /// and positive, activation zero points in [-128, 127], weights
+    /// symmetric, multiplier mantissas in [2^30, 2^31) with right shifts in
+    /// [0, 31], and no layer's worst-case accumulator sum|w|·255 + |bias|
+    /// beyond int32.
     explicit quantized_cnn(quantized_cnn_parts parts);
 
     /// Inference for one float segment (row-major [time x channels]):
     /// quantize input, run the int8 graph, dequantize the logit, sigmoid.
     float predict_proba(std::span<const float> segment) const;
-    /// The dequantized logit (pre-sigmoid).
+    /// The dequantized logit (pre-sigmoid): a batch of one.
     float predict_logit(std::span<const float> segment) const;
-    /// predict_logit with caller-owned activation buffers — bit-identical,
-    /// but allocation-free once `scratch` has reached its high-water mark.
-    float predict_logit(std::span<const float> segment, inference_scratch& scratch) const;
 
     /// Batch-scoring entry point for serving (src/serve): `count` segments
     /// laid out back to back in `segments`; writes one probability per
     /// segment into `out`.  Segments are independent int8 inferences run in
     /// fixed-grain chunks (util::parallel_for_chunks) with index-addressed
     /// outputs — bit-identical to per-segment predict_proba for any
-    /// FALLSENSE_THREADS.
+    /// FALLSENSE_THREADS and any simd backend (src/quant/q8_kernels.hpp).
     void predict_proba_batch(std::span<const float> segments, std::size_t count,
                              std::span<float> out) const;
-    /// Batch scoring with caller-owned per-chunk scratch (the serving
-    /// scorers keep one across ticks so steady-state batches allocate
-    /// nothing).  Chunk boundaries depend only on the fixed grain, so
-    /// chunk c always reuses scratch.chunks[c].
+    /// Batch scoring with caller-owned scratch (the serving scorers keep
+    /// one across ticks so steady-state batches allocate nothing).
     void predict_proba_batch(std::span<const float> segments, std::size_t count,
                              std::span<float> out, batch_inference_scratch& scratch) const;
 
@@ -128,6 +121,13 @@ public:
     op_counts count_ops() const;
 
 private:
+    void validate() const;
+    void pack();
+    void run_batch(const float* segments, std::size_t count, float* logits,
+                   batch_inference_scratch& scratch) const;
+    void run_chunk(const float* segments, std::size_t count, float* logits,
+                   std::int8_t* qinput, std::int16_t* arena) const;
+
     std::size_t time_steps_ = 0;
     std::size_t input_channels_ = 0;
     std::vector<std::size_t> group_channels_;
@@ -135,6 +135,16 @@ private:
     qparams concat_q_;
     std::vector<q_conv_branch> branches_;
     std::vector<q_dense> trunk_;
+
+    // Host execution plan (pack()): one packed copy of every layer and the
+    // per-chunk arena layout, in int16 elements.
+    std::vector<q8_layer> packed_branches_;
+    std::vector<q8_layer> packed_trunk_;
+    std::size_t patch_elems_ = 0;    ///< widest branch input patch (+ padding)
+    std::size_t conv_elems_ = 0;     ///< widest branch conv output
+    std::size_t concat_stride_ = 0;  ///< trunk input row
+    std::size_t hidden_stride_ = 0;  ///< widest trunk output row
+    std::size_t chunk_elems_ = 0;    ///< one chunk's arena
 };
 
 }  // namespace fallsense::quant

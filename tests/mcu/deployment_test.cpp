@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <stdexcept>
 
 #include "core/models.hpp"
 #include "quant/cnn_spec.hpp"
@@ -103,6 +105,34 @@ TEST(DeploymentTest, LoaderRejectsInconsistentChannels) {
     const std::uint32_t wrong = 8;
     std::memcpy(blob.data() + 8, &wrong, 4);
     EXPECT_THROW(deserialize_deployment_blob(blob), std::runtime_error);
+}
+
+TEST(DeploymentTest, LoaderRejectsCorruptQuantization) {
+    // Structurally sound blobs whose int8 arithmetic would break: the
+    // quantized_cnn constructor rejects them before anything executes.
+    // Offsets: magic 4 + header 16, input_q (scale, zero point) at 20,
+    // concat_q at 28, then branch 0: four dims, weight_q, mantissa at 60
+    // and right shift at 64.
+    const auto clean = serialize_deployment_blob(make_model(12));
+    const auto corrupt = [&clean](std::size_t offset, auto value) {
+        auto blob = clean;
+        std::memcpy(blob.data() + offset, &value, sizeof value);
+        return blob;
+    };
+    EXPECT_NO_THROW(deserialize_deployment_blob(clean));
+    EXPECT_THROW(deserialize_deployment_blob(corrupt(20, 0.0f)), std::invalid_argument);
+    EXPECT_THROW(deserialize_deployment_blob(corrupt(20, -1.0f)), std::invalid_argument);
+    EXPECT_THROW(deserialize_deployment_blob(corrupt(20, INFINITY)), std::invalid_argument);
+    EXPECT_THROW(deserialize_deployment_blob(corrupt(24, std::int32_t{300})),
+                 std::invalid_argument);
+    EXPECT_THROW(deserialize_deployment_blob(corrupt(32, std::int32_t{-129})),
+                 std::invalid_argument);
+    EXPECT_THROW(deserialize_deployment_blob(corrupt(60, std::int32_t{1})),
+                 std::invalid_argument);
+    EXPECT_THROW(deserialize_deployment_blob(corrupt(64, std::int32_t{32})),
+                 std::invalid_argument);
+    EXPECT_THROW(deserialize_deployment_blob(corrupt(64, std::int32_t{-1})),
+                 std::invalid_argument);
 }
 
 TEST(DeploymentTest, CArrayRendering) {

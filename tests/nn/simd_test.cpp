@@ -459,46 +459,50 @@ TEST(SimdFusionTest, TrainingForwardStillMaterializesReluMask) {
 }
 
 TEST(SimdTest, Int8ScoringIsBitIdenticalAcrossModes) {
-    // Int8 accumulators are exact int32 sums, so the vector axpy must
-    // reproduce the scalar kernel bit for bit — dispatch may change
-    // latency, never a logit.  (Without a vector backend both modes run
-    // the scalar kernel and the check is trivially true.)
+    // Int8 accumulators are exact int32 sums, so the vector executor must
+    // reproduce the scalar tier bit for bit — dispatch may change latency,
+    // never a logit.  (Without a vector backend both modes run the scalar
+    // tier and the check is trivially true.)  The batch counts cover every
+    // register-tile row tail and both sides of the chunk grain.
     serve::scorer_spec spec;
     spec.backend = serve::scorer_backend::int8;
     spec.window_samples = 20;
     spec.seed = 3;
 
     const std::size_t elems = 20 * core::k_feature_channels;
-    constexpr std::size_t k_count = 17;  // odd: exercises the axpy tails
-    std::vector<float> windows(k_count * elems);
+    constexpr std::size_t k_max_count = 65;
+    std::vector<float> windows(k_max_count * elems);
     util::rng gen(31);
     for (float& v : windows) v = static_cast<float>(gen.uniform(-1.2, 1.2));
 
-    std::vector<float> scalar_out(k_count);
-    std::vector<float> native_out(k_count);
-    {
-        simd_mode_guard guard(simd_mode::scalar);
-        serve::make_scorer(spec)->score(windows, k_count, elems, scalar_out);
-    }
-    {
-        simd_mode_guard guard(simd_mode::native);
-        serve::make_scorer(spec)->score(windows, k_count, elems, native_out);
-    }
-    for (std::size_t i = 0; i < k_count; ++i) {
-        EXPECT_EQ(native_out[i], scalar_out[i]) << "window " << i;
-    }
+    for (const std::size_t count : {1, 2, 3, 5, 17, 51, 65}) {
+        const std::span<const float> batch(windows.data(), count * elems);
+        std::vector<float> scalar_out(count);
+        std::vector<float> native_out(count);
+        {
+            simd_mode_guard guard(simd_mode::scalar);
+            serve::make_scorer(spec)->score(batch, count, elems, scalar_out);
+        }
+        {
+            simd_mode_guard guard(simd_mode::native);
+            serve::make_scorer(spec)->score(batch, count, elems, native_out);
+        }
+        for (std::size_t i = 0; i < count; ++i) {
+            EXPECT_EQ(native_out[i], scalar_out[i]) << "count " << count << " window " << i;
+        }
 
-    // And per pinned backend: every vector axpy sums the same exact int32
-    // products, so each tier reproduces the scalar logits bit for bit.
-    for (const simd_backend backend : available_simd_backends()) {
-        simd_mode_guard guard(backend == simd_backend::scalar ? simd_mode::scalar
-                                                              : simd_mode::native);
-        simd_backend_cap_guard cap(backend);
-        std::vector<float> backend_out(k_count);
-        serve::make_scorer(spec)->score(windows, k_count, elems, backend_out);
-        for (std::size_t i = 0; i < k_count; ++i) {
-            EXPECT_EQ(backend_out[i], scalar_out[i])
-                << simd_backend_label(backend) << " window " << i;
+        // And per pinned backend: every tier sums the same exact int32
+        // products, so each reproduces the scalar logits bit for bit.
+        for (const simd_backend backend : available_simd_backends()) {
+            simd_mode_guard guard(backend == simd_backend::scalar ? simd_mode::scalar
+                                                                  : simd_mode::native);
+            simd_backend_cap_guard cap(backend);
+            std::vector<float> backend_out(count);
+            serve::make_scorer(spec)->score(batch, count, elems, backend_out);
+            for (std::size_t i = 0; i < count; ++i) {
+                EXPECT_EQ(backend_out[i], scalar_out[i])
+                    << simd_backend_label(backend) << " count " << count << " window " << i;
+            }
         }
     }
 }

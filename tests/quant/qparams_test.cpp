@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
+
+#include "nn/simd.hpp"
+#include "quant/q8_kernels.hpp"
 
 namespace fallsense::quant {
 namespace {
@@ -49,6 +54,67 @@ TEST(QparamsTest, QuantizeClampsOutOfRange) {
     const qparams qp = choose_activation_qparams(-1.0f, 1.0f);
     EXPECT_EQ(quantize_value(100.0f, qp), 127);
     EXPECT_EQ(quantize_value(-100.0f, qp), -128);
+}
+
+TEST(QparamsTest, QuantizeSaturatesNonFiniteInputs) {
+    // Defined for every float: infinities saturate by sign, NaN quantizes
+    // like -inf, and the zero point never wraps a saturated value.
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (const std::int32_t zp : {-128, -5, 0, 5, 127}) {
+        const qparams qp{0.01f, zp};
+        EXPECT_EQ(quantize_value(inf, qp), 127) << zp;
+        EXPECT_EQ(quantize_value(1e30f, qp), 127) << zp;
+        EXPECT_EQ(quantize_value(-inf, qp), -128) << zp;
+        EXPECT_EQ(quantize_value(-1e30f, qp), -128) << zp;
+        EXPECT_EQ(quantize_value(nan, qp), -128) << zp;
+        EXPECT_EQ(quantize_value(-0.0f, qp), zp) << zp;
+    }
+}
+
+TEST(QparamsTest, VectorQuantizerMatchesScalarOnEdgeInputs) {
+    // The executor's vector input pass (q8_kernels::quantize) must reproduce
+    // quantize_value bit for bit on every tier: exact rounding ties, signed
+    // zero, subnormals, both saturation edges and non-finite inputs.
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float sub = std::numeric_limits<float>::denorm_min();
+    for (const qparams qp : {qparams{0.25f, 0}, qparams{0.25f, -3}, qparams{0.1f, 17},
+                             qparams{1.0f, -128}, qparams{1.0f, 127}}) {
+        std::vector<float> values;
+        for (const float tie : {0.5f, 1.5f, 2.5f}) {
+            values.push_back(tie * qp.scale);
+            values.push_back(-tie * qp.scale);
+        }
+        for (const float v : {0.0f, -0.0f, sub, -sub, 1e-40f, -1e-40f, 1e30f, -1e30f, inf,
+                              -inf, nan, -nan}) {
+            values.push_back(v);
+        }
+        // One step either side of both saturation edges.
+        for (const float q : {-129.0f, -128.0f, -127.0f, 126.0f, 127.0f, 128.0f}) {
+            values.push_back((q - static_cast<float>(qp.zero_point)) * qp.scale);
+            values.push_back((q - static_cast<float>(qp.zero_point) + 0.5f) * qp.scale);
+        }
+        // Enough copies that every edge input lands in the vector body and
+        // in the scalar tail at every lane position.
+        std::vector<float> input;
+        for (std::size_t rep = 0; rep < 17; ++rep) {
+            input.insert(input.end(), values.begin() + static_cast<std::ptrdiff_t>(rep % 3),
+                         values.end());
+        }
+        std::vector<std::int8_t> expected(input.size());
+        for (std::size_t i = 0; i < input.size(); ++i) expected[i] = quantize_value(input[i], qp);
+
+        for (const nn::simd_backend backend : nn::available_simd_backends()) {
+            std::vector<std::int8_t> got(input.size());
+            q8_kernels_for(backend).quantize(input.data(), input.size(), qp, got.data());
+            for (std::size_t i = 0; i < input.size(); ++i) {
+                ASSERT_EQ(got[i], expected[i])
+                    << nn::simd_backend_label(backend) << " input " << input[i] << " scale "
+                    << qp.scale << " zp " << qp.zero_point;
+            }
+        }
+    }
 }
 
 TEST(MultiplierTest, EncodesSubUnitValues) {

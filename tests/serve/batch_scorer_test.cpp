@@ -93,22 +93,32 @@ TEST(BatchScorerTest, FloatBatchRowsMatchBatchOfOne) {
 TEST(BatchScorerTest, Int8BatchRowsMatchBatchOfOne) {
     // The quantized path carries the same guarantee: the factory's
     // calibration is a pure function of (window_samples, seed), and
-    // batching must not perturb any row's score.
+    // batching must not perturb any row's score.  The batch counts cover
+    // every 4-row register-tile tail and both sides of the 16-window
+    // chunk grain; real windows repeat to fill the larger batches.
     const nn::labeled_data windows = make_windows();
-    const std::size_t n = std::min<std::size_t>(windows.size(), 8);
+    ASSERT_GE(windows.size(), 4u);
+    constexpr std::size_t k_max_count = 65;
+    std::vector<float> rows(k_max_count * k_elems);
+    for (std::size_t i = 0; i < k_max_count; ++i) {
+        const auto src = window_row(windows, i % windows.size());
+        std::copy(src.begin(), src.end(), rows.begin() + static_cast<std::ptrdiff_t>(i * k_elems));
+    }
 
     const auto scorer = make_scorer(spec_for(scorer_backend::int8));
     EXPECT_EQ(scorer->describe(), "cnn-int8");
-    std::vector<float> batched(n);
-    scorer->score({windows.features.data(), n * k_elems}, n, k_elems, batched);
-
     const auto again = make_scorer(spec_for(scorer_backend::int8));
-    for (std::size_t i = 0; i < n; ++i) {
-        float alone = -1.0f;
-        again->score(window_row(windows, i), 1, k_elems, std::span<float>(&alone, 1));
-        EXPECT_EQ(batched[i], alone) << "row " << i;
-        EXPECT_GE(batched[i], 0.0f);
-        EXPECT_LE(batched[i], 1.0f);
+    for (const std::size_t n : {1, 2, 3, 5, 17, 51, 65}) {
+        std::vector<float> batched(n);
+        scorer->score({rows.data(), n * k_elems}, n, k_elems, batched);
+        for (std::size_t i = 0; i < n; ++i) {
+            float alone = -1.0f;
+            again->score({rows.data() + i * k_elems, k_elems}, 1, k_elems,
+                         std::span<float>(&alone, 1));
+            EXPECT_EQ(batched[i], alone) << "count " << n << " row " << i;
+            EXPECT_GE(batched[i], 0.0f);
+            EXPECT_LE(batched[i], 1.0f);
+        }
     }
 }
 
