@@ -188,7 +188,9 @@ BENCHMARK(BM_Conv1dForwardThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime(
 // (docs/performance.md).  The BM_CnnFloatInferSimd /
 // BM_CnnFloatInferNoFuseSimd pair measures the fused bias+activation
 // epilogues end to end on the paper's CNN (same backend, fusion toggled),
-// feeding the "fused_speedup" section.
+// feeding the "fused_speedup" section.  BM_GemmNNSimd/<layer>:<m>x<n>x<k>
+// rows time gemm_nn at each CNN layer's shape, so a tile change shows per
+// layer without the serving benchmark.
 
 /// Pin dispatch to one resolved backend for a benchmark run: scalar pins
 /// scalar mode, any vector tier pins native mode capped at that backend.
@@ -214,9 +216,9 @@ struct fusion_scope {
     ~fusion_scope() { nn::set_epilogue_fusion(saved); }
 };
 
-void BM_GemmNNSimd(benchmark::State& state, nn::simd_backend backend) {
+void BM_GemmNNSimd(benchmark::State& state, nn::simd_backend backend, std::size_t m,
+                   std::size_t n, std::size_t k) {
     simd_backend_scope scope(backend);
-    const std::size_t m = 192, n = 192, k = 192;
     const nn::tensor a = random_tensor({m, k}, 6);
     const nn::tensor b = random_tensor({k, n}, 7);
     nn::tensor c({m, n});
@@ -376,6 +378,17 @@ void BM_PreprocessTrial(benchmark::State& state) {
 }
 BENCHMARK(BM_PreprocessTrial);
 
+struct gemm_shape {
+    const char* layer;
+    std::size_t m, n, k;
+};
+constexpr gemm_shape k_cnn_gemm_shapes[] = {
+    {"conv", 38 * 103, 16, 9},
+    {"dense64", 103, 64, 912},
+    {"dense32", 103, 32, 64},
+    {"dense1", 103, 1, 32},
+};
+
 /// Register one row per probed backend for every dispatched kernel, plus
 /// the fused-vs-unfused float CNN pair.  Runtime registration (instead of
 /// the BENCHMARK macro) because the row set depends on what the host CPU
@@ -384,7 +397,16 @@ void register_simd_benchmarks() {
     for (const nn::simd_backend backend : nn::available_simd_backends()) {
         const std::string tag = std::string("/backend:") + nn::simd_backend_label(backend);
         benchmark::RegisterBenchmark(("BM_GemmNNSimd" + tag).c_str(), BM_GemmNNSimd,
-                                     backend);
+                                     backend, 192, 192, 192);
+        // The CNN's own layer shapes at a 103-window serving batch (one
+        // steady_float tick): each branch conv as 38 rows per window, then
+        // the three trunk dense layers.
+        for (const gemm_shape& g : k_cnn_gemm_shapes) {
+            const std::string name = std::string("BM_GemmNNSimd/") + g.layer + ":" +
+                                     std::to_string(g.m) + "x" + std::to_string(g.n) + "x" +
+                                     std::to_string(g.k) + tag;
+            benchmark::RegisterBenchmark(name.c_str(), BM_GemmNNSimd, backend, g.m, g.n, g.k);
+        }
         benchmark::RegisterBenchmark(("BM_DenseForwardSimd" + tag).c_str(),
                                      BM_DenseForwardSimd, backend);
         benchmark::RegisterBenchmark(("BM_Conv1dForwardSimd" + tag).c_str(),

@@ -110,6 +110,7 @@ void wire_client::consume(std::span<const std::uint8_t> bytes) {
             case status_code::queue_full: ++stats_.reject_frames_in; break;
             case status_code::unknown_session: ++stats_.unknown_session_in; break;
             case status_code::malformed_frame: ++stats_.malformed_frames_in; break;
+            case status_code::invalid_sample: break;  // counted in status_frames_in
         }
     }
 }

@@ -124,13 +124,19 @@ void session_gateway::handle_samples(connection& c, const frame& f) {
     for (const data::raw_sample& s : f.samples) {
         ++stats_.samples_in;
         if (!router_.feed(ws.router_id, s)) {
-            // The engine refused the sample (reject_newest on a full
-            // queue): answer at the wire instead of dropping silently.
-            ++stats_.samples_rejected;
-            ++stats_.reject_frames_out;
+            // The engine refused the sample — a non-finite component, or
+            // reject_newest on a full queue: answer at the wire instead of
+            // dropping silently.
             ++stats_.status_frames_out;
-            stats_.bytes_out +=
-                encode_status(c.replies, f.session, seq, status_code::queue_full);
+            if (!serve::sample_is_finite(s)) {
+                stats_.bytes_out +=
+                    encode_status(c.replies, f.session, seq, status_code::invalid_sample);
+            } else {
+                ++stats_.samples_rejected;
+                ++stats_.reject_frames_out;
+                stats_.bytes_out +=
+                    encode_status(c.replies, f.session, seq, status_code::queue_full);
+            }
         }
         ++seq;
     }

@@ -73,6 +73,7 @@ const char* status_code_name(status_code code) {
         case status_code::queue_full: return "queue-full";
         case status_code::unknown_session: return "unknown-session";
         case status_code::malformed_frame: return "malformed-frame";
+        case status_code::invalid_sample: return "invalid-sample";
     }
     return "?";
 }

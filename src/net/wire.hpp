@@ -70,6 +70,7 @@ enum class status_code : std::uint16_t {
     queue_full = 1,       ///< sample refused: session queue saturated under reject-newest
     unknown_session = 2,  ///< close named a wire session that was never opened
     malformed_frame = 3,  ///< framing error; the connection will be closed
+    invalid_sample = 4,   ///< sample refused: a NaN or infinite component
 };
 
 const char* frame_type_name(frame_type type);

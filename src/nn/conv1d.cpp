@@ -46,15 +46,6 @@ tensor conv1d::forward(const tensor& input, bool /*training*/) {
     return out;
 }
 
-std::size_t conv1d::infer_workspace_bytes(const shape_t& input_shape,
-                                          std::size_t batch) const {
-    FS_ARG_CHECK(input_shape.size() == 2 && input_shape[1] == in_ch_ &&
-                     input_shape[0] >= kernel_,
-                 "conv1d infer_workspace_bytes: bad input shape");
-    const std::size_t out_time = input_shape[0] - kernel_ + 1;
-    return batch * out_time * kernel_ * in_ch_ * sizeof(float);  // im2col buffer
-}
-
 void conv1d::forward_into(std::span<const float> in, const shape_t& input_shape,
                           std::size_t batch, std::span<float> workspace,
                           std::span<float> out) {
@@ -62,26 +53,31 @@ void conv1d::forward_into(std::span<const float> in, const shape_t& input_shape,
 }
 
 void conv1d::forward_into_fused(std::span<const float> in, const shape_t& input_shape,
-                                std::size_t batch, std::span<float> workspace,
+                                std::size_t batch, std::span<float> /*workspace*/,
                                 std::span<float> out, fused_act act) {
     FS_ARG_CHECK(input_shape.size() == 2 && input_shape[1] == in_ch_ &&
                      input_shape[0] >= kernel_,
                  "conv1d forward_into: bad input shape");
     const std::size_t time = input_shape[0];
     const std::size_t out_time = time - kernel_ + 1;
-    const std::size_t rows = batch * out_time;
-    const std::size_t patch = kernel_ * in_ch_;
-    FS_ARG_CHECK(in.size() >= batch * time * in_ch_ && out.size() >= rows * out_ch_,
+    FS_ARG_CHECK(in.size() >= batch * time * in_ch_ && out.size() >= batch * out_time * out_ch_,
                  "conv1d forward_into: buffer too small");
-    FS_ARG_CHECK(workspace.size() >= rows * patch,
-                 "conv1d forward_into: workspace too small");
-
-    // Same lowering as forward, with the col buffer in the caller's arena
-    // instead of col_cache_, and the bias seed plus any fused activation
-    // running inside the GEMM row tasks while the tile is hot.
-    im2col(in.data(), batch, time, in_ch_, kernel_, workspace.data());
-    gemm_nn_bias_act(rows, out_ch_, patch, workspace.data(), weight_.value.data(),
-                     bias_.value.data(), act, out.data());
+    // Same per-element math as forward, as a direct conv: the tiles read
+    // the input in place (no im2col buffer) and run the bias seed and any
+    // fused activation in registers.
+    conv1d_direct(batch, {.x = in.data(),
+                          .x_window_stride = time * in_ch_,
+                          .x_row_stride = in_ch_,
+                          .time = time,
+                          .in_ch = in_ch_,
+                          .kernel = kernel_,
+                          .out_ch = out_ch_,
+                          .weight = weight_.value.data(),
+                          .bias = bias_.value.data(),
+                          .act = act,
+                          .pool = 1,
+                          .y = out.data(),
+                          .y_window_stride = out_time * out_ch_});
 }
 
 tensor conv1d::backward(const tensor& grad_output) {

@@ -1,8 +1,10 @@
 // Temporal convolution over [batch, time, channels] with valid padding and
 // stride 1 — the convolution each branch of the paper's CNN applies to its
-// [n x 3] motion-feature matrix.  Forward and backward run through the
-// im2col + GEMM kernels in nn/gemm.hpp (see docs/performance.md for the
-// layout and determinism contract).
+// [n x 3] motion-feature matrix.  Training forward and backward run
+// through the im2col + GEMM kernels in nn/gemm.hpp; inference
+// (forward_into) is a direct conv through the same register tile, with no
+// im2col buffer (see docs/performance.md for the layout and determinism
+// contract).
 #pragma once
 
 #include <vector>
@@ -30,8 +32,6 @@ public:
     }
     std::string describe() const override;
     shape_t output_shape(const shape_t& input_shape) const override;
-    std::size_t infer_workspace_bytes(const shape_t& input_shape,
-                                      std::size_t batch) const override;
     void forward_into(std::span<const float> in, const shape_t& input_shape,
                       std::size_t batch, std::span<float> workspace,
                       std::span<float> out) override;
@@ -55,7 +55,7 @@ private:
     parameter weight_;  ///< [kernel, in_channels, out_channels]
     parameter bias_;    ///< [out_channels]
     tensor input_cache_;
-    std::vector<float> col_cache_;    ///< im2col of the last forward input
+    std::vector<float> col_cache_;    ///< im2col of the last forward input, for backward
     std::vector<float> gcol_scratch_; ///< column-space gradient scratch
     std::vector<float> wt_scratch_;   ///< transposed weights for backward
 };

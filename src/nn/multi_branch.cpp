@@ -4,6 +4,9 @@
 #include <numeric>
 #include <sstream>
 
+#include "nn/conv1d.hpp"
+#include "nn/pooling.hpp"
+#include "nn/simd.hpp"
 #include "util/check.hpp"
 
 namespace fallsense::nn {
@@ -110,10 +113,33 @@ tensor multi_branch_network::backward(const tensor& grad_output) {
     return grad_input;
 }
 
+multi_branch_network::direct_branch multi_branch_network::match_direct(
+    const sequential& branch) {
+    direct_branch d;
+    const std::size_t count = branch.layer_count();
+    if (count < 2 || branch.layer_at(0).kind() != layer_kind::conv1d ||
+        branch.layer_at(count - 1).kind() != layer_kind::flatten) {
+        return {};
+    }
+    std::size_t i = 1;
+    if (i + 1 < count && branch.layer_at(i).kind() == layer_kind::relu) {
+        d.act = fused_act::relu;
+        ++i;
+    }
+    if (i + 1 < count && branch.layer_at(i).kind() == layer_kind::maxpool1d) {
+        d.pool = static_cast<const maxpool1d&>(branch.layer_at(i)).pool_size();
+        ++i;
+    }
+    if (i + 1 != count || d.pool > 2) return {};
+    d.conv = &static_cast<const conv1d&>(branch.layer_at(0));
+    return d;
+}
+
 const multi_branch_network::infer_plan& multi_branch_network::ensure_plan(
     const shape_t& row_shape, std::size_t batch) {
+    const bool fusion = epilogue_fusion_enabled();
     if (batch <= plan_.batch_capacity && row_shape == plan_.row_shape &&
-        plan_.widths.size() == branches_.size()) {
+        plan_.widths.size() == branches_.size() && plan_.fusion == fusion) {
         return plan_;
     }
     FS_ARG_CHECK(row_shape.size() == 2, "multi_branch forward_into expects [time, channels]");
@@ -125,8 +151,10 @@ const multi_branch_network::infer_plan& multi_branch_network::ensure_plan(
     const std::size_t capacity = std::max(batch, plan_.batch_capacity);
     plan_.row_shape = row_shape;
     plan_.batch_capacity = capacity;
+    plan_.fusion = fusion;
     plan_.widths.clear();
     plan_.branch_shapes.clear();
+    plan_.direct.assign(branches_.size(), direct_branch{});
     std::size_t max_group = 0;
     std::size_t max_width = 0;
     std::size_t branch_ws = 0;
@@ -138,6 +166,12 @@ const multi_branch_network::infer_plan& multi_branch_network::ensure_plan(
         plan_.widths.push_back(width);
         plan_.branch_shapes.push_back(branch_shape);
         concat_width += width;
+        if (fusion) {
+            plan_.direct[bi] = match_direct(*branches_[bi]);
+            if (plan_.direct[bi].conv != nullptr) {
+                continue;  // reads the window in place: no slice or branch arena
+            }
+        }
         max_group = std::max(max_group, group);
         max_width = std::max(max_width, width);
         const std::size_t bytes = branches_[bi]->infer_workspace_bytes(branch_shape, capacity);
@@ -179,12 +213,31 @@ void multi_branch_network::forward_into(std::span<const float> input,
                                      plan.branch_ws_floats);
 
     // Same data flow as forward — slice channels, run branches, scatter
-    // into the concat rows — out of fixed arena regions.
+    // into the concat rows — out of fixed arena regions.  A direct branch
+    // does all three in one conv1d_direct call.
     std::size_t channel_base = 0;
     std::size_t feature_base = 0;
     for (std::size_t bi = 0; bi < branches_.size(); ++bi) {
         const std::size_t group = group_channels_[bi];
         const std::size_t width = plan.widths[bi];
+        if (const direct_branch& d = plan.direct[bi]; d.conv != nullptr) {
+            conv1d_direct(batch, {.x = input.data() + channel_base,
+                                  .x_window_stride = time * channels,
+                                  .x_row_stride = channels,
+                                  .time = time,
+                                  .in_ch = group,
+                                  .kernel = d.conv->kernel_size(),
+                                  .out_ch = d.conv->out_channels(),
+                                  .weight = d.conv->weight().value.data(),
+                                  .bias = d.conv->bias().value.data(),
+                                  .act = d.act,
+                                  .pool = d.pool,
+                                  .y = concat + feature_base,
+                                  .y_window_stride = plan.concat_width});
+            channel_base += group;
+            feature_base += width;
+            continue;
+        }
         for (std::size_t n = 0; n < batch; ++n) {
             for (std::size_t t = 0; t < time; ++t) {
                 const float* src = input.data() + (n * time + t) * channels + channel_base;

@@ -1,12 +1,13 @@
-// Runtime SIMD dispatch for the nn/quant GEMM microkernels.
+// Runtime SIMD dispatch for the nn/quant kernels.
 //
-// The hot kernels (gemm_nn row updates, the fused bias+activation GEMM,
-// the gradient reduction rank-1 updates, the int8 executor's quantizer and
-// GEMM in src/quant/q8_kernels.hpp) exist
-// in several flavors: the scalar reference loops — the bit-exact
-// determinism baseline every golden manifest is pinned to — and vectorized
-// variants compiled behind target attributes and selected at runtime from
-// a one-time CPU-feature probe.
+// The float kernels (gemm_nn, gemm_nn_bias_act, gemm_tn_acc and the
+// inference conv1d_direct in nn/gemm.hpp) all run one register tile,
+// compiled once per tier from a lane-traits template: the scalar tier
+// (separate multiply and add — the bit-exact determinism baseline every
+// golden manifest is pinned to) and the vector tiers (fused multiply-add),
+// compiled for their ISA and selected at runtime from a one-time
+// CPU-feature probe.  The int8 executor's quantizer and GEMM
+// (src/quant/q8_kernels.hpp) dispatch the same way.
 //
 // Backends, best-first per architecture:
 //   x86-64:  avx512 (AVX-512F+BW) -> avx2-fma (AVX2+FMA) -> scalar
@@ -31,7 +32,9 @@
 // Every vector backend issues the identical per-element fused
 // multiply-add sequence (one fmadd per reduction step, ascending k), so
 // float results are bit-identical ACROSS vector backends — "native" is a
-// single golden surface per problem, distinct from scalar only.
+// single golden surface per problem, distinct from scalar only
+// (tests/nn/float_executor_test.cpp pins it for every kernel and for the
+// whole CNN).
 #pragma once
 
 #include <optional>
@@ -99,7 +102,9 @@ void set_simd_mode(simd_mode mode);
 void set_simd_backend_cap(simd_backend cap);
 
 /// True when the workspace planners may collapse Conv->ReLU / Dense->ReLU
-/// (and ->sigmoid) pairs into one fused bias+activation kernel call.
+/// (and ->sigmoid) pairs into one fused bias+activation kernel call, and
+/// run each Conv1D->ReLU->MaxPool1D->Flatten branch of a
+/// multi_branch_network as one direct conv.
 /// Defaults to on; FALLSENSE_FUSE_EPILOGUE=0 (or off/false) disables it,
 /// and set_epilogue_fusion() overrides either way.  Scalar-mode fused
 /// results are bit-identical to unfused, so this is a debugging and

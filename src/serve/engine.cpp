@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <sstream>
 
 #include "obs/metrics.hpp"
@@ -108,8 +109,24 @@ bool session_engine::is_live(session_id id) const {
     return id < sessions_.size() && sessions_[id] != nullptr;
 }
 
+bool sample_is_finite(const data::raw_sample& sample) {
+    for (const float v : sample.accel) {
+        if (!std::isfinite(v)) return false;
+    }
+    for (const float v : sample.gyro) {
+        if (!std::isfinite(v)) return false;
+    }
+    return true;
+}
+
 bool session_engine::feed(session_id id, const data::raw_sample& sample) {
     session_slot& s = slot(id);
+    if (!sample_is_finite(sample)) {
+        ++s.stats.nonfinite;
+        ++totals_.nonfinite;
+        obs::add_counter("serve/samples_nonfinite");
+        return false;
+    }
     if (s.queue.size() >= config_.queue_capacity) {
         if (config_.policy == drop_policy::reject_newest) {
             ++s.stats.rejected;

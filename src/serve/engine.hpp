@@ -101,6 +101,10 @@ struct session_stats {
     std::uint64_t ingested = 0;   ///< samples consumed by ticks
     std::uint64_t windows_scored = 0;
     std::uint64_t triggers = 0;
+    /// Samples refused for a NaN or infinite component.  In-memory fleet
+    /// restores and rebalances keep it; the v1 snapshot encoding does not
+    /// carry it (docs/checkpoint.md), so a decoded session restarts at 0.
+    std::uint64_t nonfinite = 0;
 };
 
 /// Engine-wide totals (sums over all sessions ever hosted).
@@ -114,7 +118,13 @@ struct engine_stats {
     std::uint64_t ticks = 0;
     std::uint64_t sessions_created = 0;
     std::uint64_t sessions_evicted = 0;
+    std::uint64_t nonfinite = 0;  ///< samples refused for a non-finite component
 };
+
+/// True when every accel and gyro component of `sample` is finite — the
+/// admission check session_engine::feed applies.  One NaN would poison a
+/// session's Butterworth state for good, so such samples never enter.
+bool sample_is_finite(const data::raw_sample& sample);
 
 /// Everything needed to reconstruct one live session in another engine
 /// (or process): lifetime counters, the adaptive drain rate, the queued
@@ -156,7 +166,9 @@ public:
     bool is_live(session_id id) const;
 
     /// Offer one sample to a session's queue.  Returns false iff the
-    /// sample was refused (reject_newest on a full queue).
+    /// sample was refused: a non-finite component (counted in `nonfinite`
+    /// and `serve/samples_nonfinite`, the session untouched), or
+    /// reject_newest on a full queue (counted in `rejected`).
     bool feed(session_id id, const data::raw_sample& sample);
 
     /// Advance every live session by up to its drain rate in queued

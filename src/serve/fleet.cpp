@@ -279,6 +279,7 @@ fleet_checkpoint fleet_router::snapshot() const {
         sum.ingested += sc.stats.ingested;
         sum.windows_scored += sc.stats.windows_scored;
         sum.triggers += sc.stats.triggers;
+        sum.nonfinite += sc.stats.nonfinite;
     }
     cp.retired.resize(shards_.size());
     for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -286,7 +287,8 @@ fleet_checkpoint fleet_router::snapshot() const {
         const session_stats& sum = live_sums[s];
         cp.retired[s] = {t.accepted - sum.accepted,       t.dropped - sum.dropped,
                          t.rejected - sum.rejected,       t.ingested - sum.ingested,
-                         t.windows_scored - sum.windows_scored, t.triggers - sum.triggers};
+                         t.windows_scored - sum.windows_scored, t.triggers - sum.triggers,
+                         t.nonfinite - sum.nonfinite};
     }
     return cp;
 }
@@ -333,6 +335,7 @@ void fleet_router::restore(const fleet_checkpoint& cp) {
             sum.ingested += next->stats.ingested;
             sum.windows_scored += next->stats.windows_scored;
             sum.triggers += next->stats.triggers;
+            sum.nonfinite += next->stats.nonfinite;
             ++next;
         } else {
             sh.engine.restore_evicted_slot();
@@ -360,6 +363,7 @@ void fleet_router::restore(const fleet_checkpoint& cp) {
             folded.ingested += r.ingested;
             folded.windows_scored += r.windows_scored;
             folded.triggers += r.triggers;
+            folded.nonfinite += r.nonfinite;
         }
     }
     for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -374,6 +378,7 @@ void fleet_router::restore(const fleet_checkpoint& cp) {
         t.ingested = live_sums[s].ingested + retired.ingested;
         t.windows_scored = live_sums[s].windows_scored + retired.windows_scored;
         t.triggers = live_sums[s].triggers + retired.triggers;
+        t.nonfinite = live_sums[s].nonfinite + retired.nonfinite;
         t.ticks = cp.ticks;
         t.sessions_created = sh.local_to_global.size();
         t.sessions_evicted = evicted[s];
@@ -435,6 +440,7 @@ engine_stats fleet_router::totals() const {
         out.triggers += t.triggers;
         out.sessions_created += t.sessions_created;
         out.sessions_evicted += t.sessions_evicted;
+        out.nonfinite += t.nonfinite;
     }
     out.ticks = ticks_;
     return out;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -192,6 +193,41 @@ TEST(SessionGatewayTest, ByteStreamRunIsBitIdenticalToDirectFeed) {
     const run_result threaded = run_gateway(trials, ticks, 0);
     util::set_global_threads(0);
     EXPECT_TRUE(threaded == direct) << "4 worker threads";
+}
+
+TEST(SessionGatewayTest, NonFiniteSampleAnswersInvalidSampleNotQueueFull) {
+    fleet_config config = make_config();
+    config.engine.policy = serve::drop_policy::reject_newest;
+    fleet_router fleet(config, freefall());
+    session_gateway gateway(fleet);
+    const auto conn = gateway.open_connection();
+
+    std::vector<data::raw_sample> batch(3, quiet_sample());
+    batch[1].gyro[0] = std::numeric_limits<float>::quiet_NaN();
+    std::vector<std::uint8_t> bytes;
+    encode_samples(bytes, 9, 500, batch);
+    std::vector<std::uint8_t> replies;
+    ASSERT_TRUE(gateway.on_bytes(conn, bytes, replies));
+
+    frame_decoder decoder;
+    decoder.push(replies);
+    frame f;
+    ASSERT_EQ(decoder.next(f), decode_status::ok);
+    EXPECT_EQ(f.type, frame_type::status);
+    EXPECT_EQ(f.session, 9u);
+    EXPECT_EQ(f.sequence, 501u);
+    EXPECT_EQ(static_cast<status_code>(f.status), status_code::invalid_sample);
+    EXPECT_STREQ(status_code_name(status_code::invalid_sample), "invalid-sample");
+    EXPECT_EQ(decoder.next(f), decode_status::need_more);
+
+    const gateway_stats& stats = gateway.stats();
+    EXPECT_EQ(stats.samples_in, 3u);
+    EXPECT_EQ(stats.samples_rejected, 0u);
+    EXPECT_EQ(stats.reject_frames_out, 0u);
+    EXPECT_EQ(stats.status_frames_out, 1u);
+    EXPECT_EQ(fleet.totals().accepted, 2u);
+    EXPECT_EQ(fleet.totals().rejected, 0u);
+    EXPECT_EQ(fleet.totals().nonfinite, 1u);
 }
 
 TEST(SessionGatewayTest, RejectNewestSaturationAnswersQueueFullFrames) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "data/synthesizer.hpp"
 #include "util/thread_pool.hpp"
@@ -134,6 +135,82 @@ TEST(SessionEngineTest, HostedSessionMatchesDedicatedDetector) {
     EXPECT_EQ(got, want);
     EXPECT_EQ(engine.last_score(id), reference.last_score());
     EXPECT_EQ(engine.stats(id).triggers, want.size());
+}
+
+TEST(SessionEngineTest, NonFiniteSampleIsRefusedAndCountedWithoutPoisoning) {
+    // One NaN at sample 100 of a 2000-sample fall stream.  Admitted, it
+    // would poison the Butterworth state so that no later window scores
+    // finite and the fall never triggers; refused, the session must run
+    // exactly as if it had never been offered.
+    // The fall trial, led by a still hold of its own first sample.
+    const data::trial fall = make_trial(30, 4);
+    ASSERT_LT(fall.samples.size(), 2000u);
+    std::vector<data::raw_sample> samples(2000 - fall.samples.size(), fall.samples.front());
+    samples.insert(samples.end(), fall.samples.begin(), fall.samples.end());
+
+    struct run {
+        std::vector<float> scores;
+        std::vector<std::pair<std::size_t, float>> triggers;
+        session_stats stats;
+        engine_stats totals;
+    };
+    auto stream = [&](bool poison) {
+        run r;
+        callback_batch_scorer scorer([&r](std::span<const float> window) {
+            const float p = freefall_scorer(window);  // NaN for a poisoned window
+            r.scores.push_back(p);
+            return p;
+        });
+        session_engine engine(make_config(0.65), scorer);
+        const session_id id = engine.create_session();
+        for (std::size_t i = 0; i < samples.size(); ++i) {
+            if (poison && i == 100) {
+                data::raw_sample bad = samples[i];
+                bad.accel[1] = std::numeric_limits<float>::quiet_NaN();
+                EXPECT_FALSE(engine.feed(id, bad));
+                bad.accel[1] = samples[i].accel[1];
+                bad.gyro[2] = -std::numeric_limits<float>::infinity();
+                EXPECT_FALSE(engine.feed(id, bad));
+            }
+            EXPECT_TRUE(engine.feed(id, samples[i]));
+            for (const trigger_event& e : engine.tick().triggers) {
+                r.triggers.emplace_back(e.sample_index, e.probability);
+            }
+        }
+        r.stats = engine.stats(id);
+        r.totals = engine.totals();
+        return r;
+    };
+    const run clean = stream(false);
+    const run poisoned = stream(true);
+
+    ASSERT_FALSE(clean.triggers.empty()) << "the fall must trigger";
+    EXPECT_EQ(poisoned.triggers, clean.triggers);
+    EXPECT_EQ(poisoned.scores.size(), clean.scores.size());
+    for (std::size_t i = 0; i < poisoned.scores.size(); ++i) {
+        ASSERT_TRUE(std::isfinite(poisoned.scores[i])) << "window " << i;
+        EXPECT_EQ(poisoned.scores[i], clean.scores[i]) << "window " << i;
+    }
+    EXPECT_EQ(poisoned.stats.nonfinite, 2u);
+    EXPECT_EQ(poisoned.stats.rejected, 0u);
+    EXPECT_EQ(poisoned.stats.accepted, 2000u);
+    EXPECT_EQ(poisoned.totals.nonfinite, 2u);
+    EXPECT_EQ(poisoned.totals.rejected, 0u);
+    EXPECT_EQ(clean.stats.nonfinite, 0u);
+}
+
+TEST(SessionEngineTest, SampleIsFiniteChecksEveryComponent) {
+    data::raw_sample s{};
+    EXPECT_TRUE(sample_is_finite(s));
+    for (std::size_t c = 0; c < 6; ++c) {
+        for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                                std::numeric_limits<float>::infinity(),
+                                -std::numeric_limits<float>::infinity()}) {
+            data::raw_sample x{};
+            (c < 3 ? x.accel[c] : x.gyro[c - 3]) = bad;
+            EXPECT_FALSE(sample_is_finite(x)) << "component " << c;
+        }
+    }
 }
 
 TEST(SessionEngineTest, SamplesPerTickDrainsBacklog) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 
 #include "data/synthesizer.hpp"
@@ -88,6 +89,27 @@ std::pair<std::map<session_id, std::vector<trigger_key>>, engine_stats> replay(
         }
     }
     return {std::move(triggers), fleet.totals()};
+}
+
+TEST(FleetRouterTest, NonFiniteCountsSurviveRebalanceAndEviction) {
+    // Refused non-finite samples are counted per session and fleet-wide;
+    // an in-memory rebalance keeps both, and eviction keeps the total.
+    fleet_router fleet(make_config(2), freefall());
+    std::vector<session_id> ids;
+    for (int i = 0; i < 6; ++i) ids.push_back(fleet.create_session());
+    data::raw_sample bad{};
+    bad.gyro[1] = std::numeric_limits<float>::quiet_NaN();
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        for (std::size_t k = 0; k <= i; ++k) EXPECT_FALSE(fleet.feed(ids[i], bad));
+        EXPECT_TRUE(fleet.feed(ids[i], data::raw_sample{}));
+    }
+    fleet.tick();
+    EXPECT_EQ(fleet.totals().nonfinite, 21u);
+    fleet.evict_session(ids[5]);
+    fleet.rebalance(3);
+    EXPECT_EQ(fleet.totals().nonfinite, 21u);
+    EXPECT_EQ(fleet.totals().rejected, 0u);
+    for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(fleet.stats(ids[i]).nonfinite, i + 1);
 }
 
 TEST(FleetRouterTest, ConfigValidation) {
