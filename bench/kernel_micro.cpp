@@ -185,10 +185,8 @@ BENCHMARK(BM_Conv1dForwardThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime(
 // row's real_time into the scalar row of the same kernel, producing the
 // per-backend "simd_speedup" section of BENCH_kernel.json; the acceptance
 // bar is >= 1.5x on at least one dispatched GEMM kernel
-// (docs/performance.md).  The BM_CnnFloatInferSimd /
-// BM_CnnFloatInferNoFuseSimd pair measures the fused bias+activation
-// epilogues end to end on the paper's CNN (same backend, fusion toggled),
-// feeding the "fused_speedup" section.  BM_GemmNNSimd/<layer>:<m>x<n>x<k>
+// (docs/performance.md).  BM_CnnFloatInferSimd times the paper's CNN end
+// to end per backend.  BM_GemmNNSimd/<layer>:<m>x<n>x<k>
 // rows time gemm_nn at each CNN layer's shape, so a tile change shows per
 // layer without the serving benchmark.
 
@@ -207,13 +205,6 @@ struct simd_backend_scope {
         nn::set_simd_backend_cap(nn::simd_backend::avx512);
         nn::set_simd_mode(saved_mode);
     }
-};
-
-/// Epilogue-fusion toggle for the fused-vs-unfused CNN pair.
-struct fusion_scope {
-    bool saved = nn::epilogue_fusion_enabled();
-    explicit fusion_scope(bool enabled) { nn::set_epilogue_fusion(enabled); }
-    ~fusion_scope() { nn::set_epilogue_fusion(saved); }
 };
 
 void BM_GemmNNSimd(benchmark::State& state, nn::simd_backend backend, std::size_t m,
@@ -293,14 +284,10 @@ void BM_CnnInt8InferRowsSimd(benchmark::State& state, nn::simd_backend backend) 
 }
 
 // End-to-end float CNN inference through the model's planned workspace
-// path (nn::predict_proba_rows), with the fused conv/dense bias+ReLU
-// epilogues on (BM_CnnFloatInferSimd) or forced off
-// (BM_CnnFloatInferNoFuseSimd).  Same backend, same arena plan layout —
-// the ratio isolates what collapsing Conv→ReLU / Dense→ReLU into one
-// kernel call buys.
-void BM_CnnFloatInferSimd(benchmark::State& state, nn::simd_backend backend, bool fuse) {
+// path (nn::predict_proba_rows): direct-conv branches and fused
+// Dense→ReLU epilogues.
+void BM_CnnFloatInferSimd(benchmark::State& state, nn::simd_backend backend) {
     simd_backend_scope scope(backend);
-    fusion_scope fusion(fuse);
     const std::size_t window = 40;
     auto net = core::build_fallsense_cnn(window, 7);
     const nn::tensor rows = random_tensor({32, window, 9}, 8);
@@ -416,9 +403,7 @@ void register_simd_benchmarks() {
         benchmark::RegisterBenchmark(("BM_CnnInt8InferRowsSimd" + tag).c_str(),
                                      BM_CnnInt8InferRowsSimd, backend);
         benchmark::RegisterBenchmark(("BM_CnnFloatInferSimd" + tag).c_str(),
-                                     BM_CnnFloatInferSimd, backend, true);
-        benchmark::RegisterBenchmark(("BM_CnnFloatInferNoFuseSimd" + tag).c_str(),
-                                     BM_CnnFloatInferSimd, backend, false);
+                                     BM_CnnFloatInferSimd, backend);
     }
 }
 

@@ -158,40 +158,6 @@ simd_speedups() {
     ' "$TMP_DIR/kernel_micro.json"
 }
 
-# Fused-epilogue speedup: the BM_CnnFloatInferSimd (fused bias+activation
-# epilogues) vs BM_CnnFloatInferNoFuseSimd (fusion disabled) pair, same
-# backend — unfused real_time / fused real_time per backend.
-fused_speedups() {
-    awk '
-        /"name":/ {
-            name = $0
-            sub(/.*"name": "/, "", name); sub(/".*/, "", name)
-        }
-        /"real_time":/ && name ~ /^BM_CnnFloatInfer(NoFuse)?Simd\/backend:[a-z0-9-]+$/ {
-            t = $0
-            sub(/.*"real_time": /, "", t); sub(/[,[:space:]].*/, "", t)
-            backend = name
-            sub(/.*\/backend:/, "", backend)
-            if (name ~ /NoFuse/) nofuse[backend] = t + 0
-            else {
-                fused[backend] = t + 0
-                if (!(backend in seen)) { seen[backend] = 1; order[n++] = backend }
-            }
-        }
-        END {
-            sep = ""
-            for (i = 0; i < n; i++) {
-                b = order[i]
-                if (fused[b] > 0 && nofuse[b] > 0) {
-                    printf "%s  \"%s\": %.3f", sep, b, nofuse[b] / fused[b]
-                    sep = ",\n"
-                }
-            }
-            printf "\n"
-        }
-    ' "$TMP_DIR/kernel_micro.json"
-}
-
 # Checkpoint restore latency: the BM_FleetRestoreSessions rows from
 # serve_scaling — fleet_router::restore of a warmed 4096-session snapshot.
 restore_latency() {
@@ -233,17 +199,12 @@ restore_latency() {
     cat "$TMP_DIR/parallel_scaling.json"
     printf ',\n"simd_speedup": {\n'
     simd_speedups
-    printf '}'
-    printf ',\n"fused_speedup": {\n'
-    fused_speedups
     printf '}\n'
     printf '}\n'
 } > "$OUT"
 
 echo ">>> simd speedup (scalar real_time / backend real_time)"
 simd_speedups
-echo ">>> fused epilogue speedup (unfused real_time / fused real_time)"
-fused_speedups
 
 {
     printf '{\n'

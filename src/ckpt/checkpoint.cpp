@@ -1,9 +1,11 @@
 #include "ckpt/checkpoint.hpp"
 
 #include <bit>
+#include <cmath>
 #include <cstring>
 
 #include "core/preprocess.hpp"
+#include "serve/engine.hpp"
 #include "util/check.hpp"
 
 namespace fallsense::ckpt {
@@ -226,6 +228,8 @@ decode_status parse_sess(reader r, fleet_snapshot& out, std::uint32_t total_sess
             for (float& v : sample.gyro) {
                 if (!r.get_f32(v)) return decode_status::bad_payload;
             }
+            // feed() refuses non-finite samples; a snapshot may not smuggle one in.
+            if (!serve::sample_is_finite(sample)) return decode_status::bad_payload;
             sc.queue.push_back(sample);
         }
         core::detector_state_image& img = sc.detector;
@@ -236,20 +240,25 @@ decode_status parse_sess(reader r, fleet_snapshot& out, std::uint32_t total_sess
             !r.get_f64(img.attitude.yaw)) {
             return decode_status::bad_payload;
         }
+        // last_score may be NaN ("no window scored yet"), never infinite.
+        if (std::isinf(img.last_score) || !std::isfinite(img.attitude.pitch) ||
+            !std::isfinite(img.attitude.roll) || !std::isfinite(img.attitude.yaw)) {
+            return decode_status::bad_payload;
+        }
         img.fusion_initialized = fusion_flag == 1;
         if (r.remaining() < filter_vals * 8 + ring_elems * 4) return decode_status::bad_payload;
         img.filter_state.clear();
         img.filter_state.reserve(filter_vals);
         for (std::size_t v = 0; v < filter_vals; ++v) {
             double d = 0.0;
-            if (!r.get_f64(d)) return decode_status::bad_payload;
+            if (!r.get_f64(d) || !std::isfinite(d)) return decode_status::bad_payload;
             img.filter_state.push_back(d);
         }
         img.ring.clear();
         img.ring.reserve(ring_elems);
         for (std::size_t v = 0; v < ring_elems; ++v) {
             float f = 0.0f;
-            if (!r.get_f32(f)) return decode_status::bad_payload;
+            if (!r.get_f32(f) || !std::isfinite(f)) return decode_status::bad_payload;
             img.ring.push_back(f);
         }
     }

@@ -5,8 +5,8 @@
 #include <sstream>
 
 #include "nn/conv1d.hpp"
+#include "nn/gemm.hpp"
 #include "nn/pooling.hpp"
-#include "nn/simd.hpp"
 #include "util/check.hpp"
 
 namespace fallsense::nn {
@@ -137,9 +137,8 @@ multi_branch_network::direct_branch multi_branch_network::match_direct(
 
 const multi_branch_network::infer_plan& multi_branch_network::ensure_plan(
     const shape_t& row_shape, std::size_t batch) {
-    const bool fusion = epilogue_fusion_enabled();
     if (batch <= plan_.batch_capacity && row_shape == plan_.row_shape &&
-        plan_.widths.size() == branches_.size() && plan_.fusion == fusion) {
+        plan_.widths.size() == branches_.size()) {
         return plan_;
     }
     FS_ARG_CHECK(row_shape.size() == 2, "multi_branch forward_into expects [time, channels]");
@@ -151,7 +150,6 @@ const multi_branch_network::infer_plan& multi_branch_network::ensure_plan(
     const std::size_t capacity = std::max(batch, plan_.batch_capacity);
     plan_.row_shape = row_shape;
     plan_.batch_capacity = capacity;
-    plan_.fusion = fusion;
     plan_.widths.clear();
     plan_.branch_shapes.clear();
     plan_.direct.assign(branches_.size(), direct_branch{});
@@ -166,11 +164,9 @@ const multi_branch_network::infer_plan& multi_branch_network::ensure_plan(
         plan_.widths.push_back(width);
         plan_.branch_shapes.push_back(branch_shape);
         concat_width += width;
-        if (fusion) {
-            plan_.direct[bi] = match_direct(*branches_[bi]);
-            if (plan_.direct[bi].conv != nullptr) {
-                continue;  // reads the window in place: no slice or branch arena
-            }
+        plan_.direct[bi] = match_direct(*branches_[bi]);
+        if (plan_.direct[bi].conv != nullptr) {
+            continue;  // reads the window in place: no slice or branch arena
         }
         max_group = std::max(max_group, group);
         max_width = std::max(max_width, width);

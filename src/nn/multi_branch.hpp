@@ -5,10 +5,10 @@
 // For the fallsense CNN: channels = 9, three groups of 3 (accelerometer,
 // gyroscope, Euler angles); each branch is Conv1D -> ReLU -> MaxPool1D ->
 // Flatten; the trunk is Dense(64) -> ReLU -> Dense(32) -> ReLU -> Dense(1).
-// With epilogue fusion on (the default), inference runs each such branch
-// as one direct conv with ReLU and pooling in registers, reading the
-// window in place and writing into the concat row (nn/gemm.hpp
-// conv1d_direct); the result is bit-identical to the layer-by-layer walk.
+// Inference runs each such branch as one direct conv with ReLU and pooling
+// in registers, reading the window in place and writing into the concat row
+// (nn/gemm.hpp conv1d_direct); the result is bit-identical to the
+// layer-by-layer walk.
 #pragma once
 
 #include <memory>
@@ -65,12 +65,11 @@ private:
     /// branches are done before the trunk runs).  Direct branches need no
     /// slice, branch_out or workspace; when every branch is direct the
     /// region is the trunk's arena alone.  Cached keyed on (row_shape,
-    /// batch high-water mark, fusion toggle) like sequential's plan.
+    /// batch high-water mark) like sequential's plan.
     struct infer_plan {
         shape_t row_shape;
         std::size_t batch_capacity = 0;
-        bool fusion = false;                 ///< epilogue_fusion_enabled() at plan time
-        std::vector<direct_branch> direct;   ///< per branch; conv null when unfused
+        std::vector<direct_branch> direct;   ///< per branch; conv null: layer walk
         std::vector<std::size_t> widths;     ///< flattened width per branch
         std::vector<shape_t> branch_shapes;  ///< {time, group} per branch (no per-call temporaries)
         shape_t trunk_shape;                 ///< {concat_width}

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "nn/simd.hpp"
 #include "util/check.hpp"
 
 namespace fallsense::nn {
@@ -63,15 +62,13 @@ shape_t sequential::output_shape(const shape_t& input_shape) const {
 
 const sequential::infer_plan& sequential::ensure_plan(const shape_t& row_shape,
                                                       std::size_t batch) {
-    const bool fusion = epilogue_fusion_enabled();
     if (batch <= plan_.batch_capacity && row_shape == plan_.row_shape &&
-        plan_.stage_shapes.size() == layers_.size() + 1 && plan_.fusion == fusion) {
+        plan_.stage_shapes.size() == layers_.size() + 1) {
         return plan_;
     }
     const std::size_t capacity = std::max(batch, plan_.batch_capacity);
     plan_.row_shape = row_shape;
     plan_.batch_capacity = capacity;
-    plan_.fusion = fusion;
     plan_.stage_shapes.clear();
     plan_.stage_shapes.push_back(row_shape);
     plan_.fused.assign(layers_.size(), fused_act::none);
@@ -86,7 +83,7 @@ const sequential::infer_plan& sequential::ensure_plan(const shape_t& row_shape,
         shape = l.output_shape(shape);
         plan_.stage_shapes.push_back(shape);
         max_volume = std::max(max_volume, shape_volume(shape));
-        if (fusion && i + 1 < layers_.size()) {
+        if (i + 1 < layers_.size()) {
             const fused_act act = fusable_activation(layers_[i + 1]->kind());
             if (act != fused_act::none && l.can_fuse(act)) {
                 plan_.fused[i] = act;

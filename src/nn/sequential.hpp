@@ -47,20 +47,17 @@ private:
     /// Arena layout for the allocation-free forward path: two ping-pong
     /// activation buffers (each batch-capacity × widest stage volume) plus
     /// the widest single layer workspace, shared by every layer in turn.
-    /// Cached keyed on (row_shape, batch high-water mark, fusion toggle):
-    /// growing the batch re-plans once, shrinking it reuses the larger
-    /// arena, and flipping epilogue fusion re-plans so fused/unfused walks
-    /// never mix.
+    /// Cached keyed on (row_shape, batch high-water mark): growing the
+    /// batch re-plans once, shrinking it reuses the larger arena.
     ///
-    /// When fusion is on, a Conv1D/Dense layer followed by a ReLU or
-    /// sigmoid records that activation in `fused[i]` and the activation
-    /// layer itself is marked `skip` — a plan-time no-op whose work happens
-    /// inside the producer's kernel epilogue.  Activation shapes are
-    /// identity, so stage_shapes is unaffected.
+    /// A Conv1D/Dense layer followed by a ReLU or sigmoid records that
+    /// activation in `fused[i]` and the activation layer itself is marked
+    /// `skip` — a plan-time no-op whose work happens inside the producer's
+    /// kernel epilogue, bit-identical to running the two layers in turn.
+    /// Activation shapes are identity, so stage_shapes is unaffected.
     struct infer_plan {
         shape_t row_shape;
         std::size_t batch_capacity = 0;
-        bool fusion = false;                ///< epilogue_fusion_enabled() at plan time
         std::vector<shape_t> stage_shapes;  ///< per-sample shape before each layer + final
         std::vector<fused_act> fused;       ///< epilogue layer i runs fused (none: unfused)
         std::vector<char> skip;             ///< layer i absorbed into its predecessor

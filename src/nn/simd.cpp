@@ -40,9 +40,6 @@ std::atomic<int> g_requested{-1};
 /// per-backend rows).  An unrecognized env value is ignored.
 std::atomic<int> g_backend_cap{-1};
 
-/// Epilogue fusion: -1 = uninitialized, else 0/1.
-std::atomic<int> g_fuse{-1};
-
 simd_mode requested_mode() {
     int cached = g_requested.load(std::memory_order_relaxed);
     if (cached < 0) {
@@ -144,20 +141,6 @@ void set_simd_mode(simd_mode mode) {
 
 void set_simd_backend_cap(simd_backend cap) {
     g_backend_cap.store(static_cast<int>(cap), std::memory_order_relaxed);
-}
-
-bool epilogue_fusion_enabled() {
-    int cached = g_fuse.load(std::memory_order_relaxed);
-    if (cached < 0) {
-        const std::string text = util::env_string("FALLSENSE_FUSE_EPILOGUE");
-        cached = (text == "0" || text == "off" || text == "false") ? 0 : 1;
-        g_fuse.store(cached, std::memory_order_relaxed);
-    }
-    return cached != 0;
-}
-
-void set_epilogue_fusion(bool enabled) {
-    g_fuse.store(enabled ? 1 : 0, std::memory_order_relaxed);
 }
 
 }  // namespace fallsense::nn

@@ -101,15 +101,4 @@ void set_simd_mode(simd_mode mode);
 /// probed backend (or simd_backend::avx512) to restore the default.
 void set_simd_backend_cap(simd_backend cap);
 
-/// True when the workspace planners may collapse Conv->ReLU / Dense->ReLU
-/// (and ->sigmoid) pairs into one fused bias+activation kernel call, and
-/// run each Conv1D->ReLU->MaxPool1D->Flatten branch of a
-/// multi_branch_network as one direct conv.
-/// Defaults to on; FALLSENSE_FUSE_EPILOGUE=0 (or off/false) disables it,
-/// and set_epilogue_fusion() overrides either way.  Scalar-mode fused
-/// results are bit-identical to unfused, so this is a debugging and
-/// benchmarking switch, not a numerics switch.
-bool epilogue_fusion_enabled();
-void set_epilogue_fusion(bool enabled);
-
 }  // namespace fallsense::nn

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "util/check.hpp"
-#include "util/env.hpp"
 
 namespace fallsense::nn {
 
@@ -120,17 +119,9 @@ private:
     std::vector<std::vector<float>> free_;
 };
 
-bool pool_enabled() {
-    static const bool enabled = [] {
-        const std::string text = util::env_string("FALLSENSE_TENSOR_POOL");
-        return !(text == "off" || text == "0" || text == "false");
-    }();
-    return enabled;
-}
-
 buffer_pool* pool_for_acquire() {
     if (g_pool_ptr == nullptr) {
-        if (g_pool_dead || !pool_enabled()) return nullptr;
+        if (g_pool_dead) return nullptr;
         static thread_local buffer_pool pool;  // ctor publishes g_pool_ptr
         (void)pool;
     }
@@ -138,7 +129,7 @@ buffer_pool* pool_for_acquire() {
 }
 
 /// A vector with capacity >= n from the pool, or an empty vector when the
-/// pool is off, exhausted, or has nothing big enough.  Contents are stale;
+/// pool is torn down, exhausted, or has nothing big enough.  Contents are stale;
 /// callers must assign/fill every element.
 std::vector<float> pool_acquire(std::size_t n) {
     if (n == 0) return {};

@@ -15,8 +15,6 @@
 //     destroyed tensor donates its capacity, a constructed one reuses it.
 //     Steady-state training steps — which create and drop activation and
 //     gradient tensors every batch — therefore allocate nothing once warm.
-//     FALLSENSE_TENSOR_POOL=off disables recycling (every tensor mallocs),
-//     for allocator debugging.
 #pragma once
 
 #include <cstddef>

@@ -20,10 +20,13 @@
 //
 //   scalar  — the reference: serial loops over the original int8 weights
 //             and quant::requantize per output.
-//   avx2    — 4-row x 16-output register tiles, _mm256_madd_epi16 over
-//             input pairs, vectorized requantize.
-//   avx512  — 4-row x 64-output register tiles, _mm512_madd_epi16
-//             (AVX-512BW), vectorized requantize.
+//   avx2,   — one register tile, GEMM loop and quantizer loop
+//   avx512    (q8_tile.inl), compiled once per tier over that tier's
+//             `lanes`: the ISA primitives and the tile shape, 4 rows x 2
+//             vectors of 8 int32 (avx2) or 4 rows x 4 vectors of 16
+//             (avx512, needs AVX-512BW).  The tile seeds each accumulator
+//             with the bias, adds one madd_epi16 per input pair, and
+//             stores once through the vectorized requantize.
 //
 // aarch64 runs the scalar tier.  The vector tiers read the layer's packed
 // copy (`q8_layer`): weights widened to int16 and interleaved by input

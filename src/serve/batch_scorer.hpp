@@ -3,9 +3,10 @@
 // The session engine (engine.hpp) collects every window due at a tick
 // across all hosted sessions and hands them to one `batch_scorer::score`
 // call as a row-major [count x window_elems] buffer.  Batching is where
-// serving throughput comes from: one GEMM over a thousand windows amortizes
-// im2col, tensor assembly, and dispatch that per-window scoring pays a
-// thousand times (bench/serve_scaling quantifies the gap).
+// serving throughput comes from: one pass over a thousand windows streams
+// each layer's weights once through the register tiles and pays the plan
+// lookup and dispatch once, where per-window scoring pays them a thousand
+// times (bench/serve_scaling quantifies the gap).
 //
 // Every implementation is deterministic: probability i depends only on
 // window i, never on the batch around it or on FALLSENSE_THREADS.  For the

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -305,6 +306,44 @@ TEST(CheckpointCodecTest, MalformedInputsMapToTheirStatuses) {
         patch_payload_byte(b, rout, 0, 2);
         EXPECT_EQ(decode_snapshot(b, out), decode_status::bad_payload);
     }
+
+    // Non-finite session state, each in an otherwise valid encoding: feed()
+    // refuses such samples, so a restore must not bring one back.
+    const fleet_snapshot live = populated_snapshot();
+    ASSERT_FALSE(live.fleet.sessions.empty());
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    auto decode_with = [&](auto&& edit) {
+        fleet_snapshot snap = live;
+        edit(snap.fleet.sessions.front());
+        fleet_snapshot decoded;
+        return decode_snapshot(encode_snapshot(snap), decoded);
+    };
+    EXPECT_EQ(decode_with([&](serve::session_checkpoint& sc) {
+                  sc.queue.push_back({});
+                  sc.queue.back().gyro[1] = nan;
+              }),
+              decode_status::bad_payload)
+        << "NaN queued sample";
+    EXPECT_EQ(decode_with([&](serve::session_checkpoint& sc) {
+                  sc.detector.filter_state.at(3) = inf;
+              }),
+              decode_status::bad_payload)
+        << "+inf filter value";
+    EXPECT_EQ(decode_with([&](serve::session_checkpoint& sc) { sc.detector.ring.at(5) = nan; }),
+              decode_status::bad_payload)
+        << "NaN ring value";
+    EXPECT_EQ(decode_with([&](serve::session_checkpoint& sc) {
+                  sc.detector.attitude.roll = -inf;
+              }),
+              decode_status::bad_payload)
+        << "-inf attitude";
+    EXPECT_EQ(decode_with([&](serve::session_checkpoint& sc) { sc.detector.last_score = inf; }),
+              decode_status::bad_payload)
+        << "+inf last score";
+    // A NaN last score means "no window scored yet" and stays legal.
+    EXPECT_EQ(decode_with([&](serve::session_checkpoint& sc) { sc.detector.last_score = nan; }),
+              decode_status::ok);
 
     // A failed decode consumes nothing and poisons nothing: the pristine
     // buffer still decodes cleanly afterwards.

@@ -1,8 +1,8 @@
 // The float CNN executor pinned across backends: the register tile behind
 // gemm_nn / gemm_nn_bias_act / gemm_tn_acc / conv1d_direct at ragged
 // shapes, and the whole paper CNN through predict_proba_rows — bit-equal
-// across vector tiers, and equal to the unfused layer-by-layer walk on
-// every tier including scalar.
+// across vector tiers, and equal to the layer-by-layer walk on every tier
+// including scalar.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,23 +19,22 @@
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
+#include "layer_walk.hpp"
+
 namespace fallsense::nn {
 namespace {
 
 /// Pins one backend (scalar mode for scalar, native mode capped at the
-/// tier otherwise) and restores mode, cap, fusion and threads on exit.
+/// tier otherwise) and restores mode, cap and threads on exit.
 struct backend_scope {
     simd_mode saved_mode;
-    bool saved_fusion;
-    explicit backend_scope(simd_backend backend)
-        : saved_mode(active_simd_mode()), saved_fusion(epilogue_fusion_enabled()) {
+    explicit backend_scope(simd_backend backend) : saved_mode(active_simd_mode()) {
         set_simd_mode(backend == simd_backend::scalar ? simd_mode::scalar : simd_mode::native);
         set_simd_backend_cap(backend);
     }
     ~backend_scope() {
         set_simd_mode(saved_mode);
         set_simd_backend_cap(simd_backend::avx512);
-        set_epilogue_fusion(saved_fusion);
         util::set_global_threads(0);
     }
 };
@@ -75,27 +74,26 @@ std::vector<float> predict(model& net, const std::vector<float>& x, std::size_t 
     return out;
 }
 
-/// Run `stack` one layer at a time through each layer's own forward_into:
-/// no plan, no fusion.
-std::vector<float> walk(sequential& stack, std::vector<float> act, shape_t shape,
-                        std::size_t batch) {
-    for (std::size_t i = 0; i < stack.layer_count(); ++i) {
-        layer& l = stack.layer_at(i);
-        const shape_t out_shape = l.output_shape(shape);
-        std::vector<float> next(batch * shape_volume(out_shape));
-        std::vector<float> ws(
-            std::max<std::size_t>(1, (l.infer_workspace_bytes(shape, batch) + 3) / 4));
-        l.forward_into(act, shape, batch, ws, next);
-        act.swap(next);
-        shape = out_shape;
-    }
-    return act;
+/// Run `stack` through its own plan (sequential::forward_into): each
+/// Conv1D/Dense absorbs the ReLU that follows it.
+std::vector<float> planned(sequential& stack, std::vector<float> act, shape_t shape,
+                           std::size_t batch) {
+    std::vector<float> out(batch * shape_volume(stack.output_shape(shape)));
+    std::vector<float> ws(
+        std::max<std::size_t>(1, (stack.infer_workspace_bytes(shape, batch) + 3) / 4));
+    stack.forward_into(act, shape, batch, ws, out);
+    return out;
 }
 
-/// The paper CNN scored layer by layer: slice each branch's channels, walk
-/// the branch, concatenate, walk the trunk, sigmoid.
+using stack_runner = std::vector<float> (*)(sequential&, std::vector<float>, shape_t,
+                                            std::size_t);
+
+/// The paper CNN scored stack by stack: slice each branch's channels, run
+/// the branch, concatenate, run the trunk, sigmoid.  With `walk_layers`
+/// every layer runs on its own; with `planned` this is multi_branch_network's
+/// slice/walk/concat path for branches that are not one direct conv.
 std::vector<float> layer_walk(multi_branch_network& net, const std::vector<float>& x,
-                              std::size_t count) {
+                              std::size_t count, stack_runner run = &walk_layers) {
     std::vector<std::vector<float>> outs;
     std::size_t concat_width = 0;
     std::size_t channel_base = 0;
@@ -106,7 +104,7 @@ std::vector<float> layer_walk(multi_branch_network& net, const std::vector<float
             std::copy_n(x.data() + r * k_channels + channel_base, group,
                         slice.data() + r * group);
         }
-        outs.push_back(walk(net.branch(bi), slice, {k_window, group}, count));
+        outs.push_back(run(net.branch(bi), slice, {k_window, group}, count));
         concat_width += outs.back().size() / count;
         channel_base += group;
     }
@@ -119,7 +117,7 @@ std::vector<float> layer_walk(multi_branch_network& net, const std::vector<float
         }
         base += width;
     }
-    std::vector<float> logits = walk(net.trunk(), concat, {concat_width}, count);
+    std::vector<float> logits = run(net.trunk(), concat, {concat_width}, count);
     for (float& v : logits) v = sigmoid_scalar(v);
     return logits;
 }
@@ -148,19 +146,18 @@ TEST(FloatExecutorTest, FusedPlanEqualsLayerByLayerWalkPerBackend) {
     // The planned path runs each branch as one direct conv with ReLU and
     // pooling in registers, writing into the concat row; the walk runs
     // every layer separately through its own buffers.  Same bits, on every
-    // tier, at every batch size; and the same again with fusion off.
+    // tier, at every batch size; and the same again for the stacks' own
+    // fused plans, the path a branch takes when it is not one direct conv.
     auto net = core::build_fallsense_cnn(k_window, 9);
     for (const simd_backend backend : available_simd_backends()) {
         backend_scope scope(backend);
         for (const std::size_t count : k_batches) {
             const std::vector<float> x = windows(count);
             const std::vector<float> walked = layer_walk(*net, x, count);
-            set_epilogue_fusion(true);
             EXPECT_TRUE(same_bits(predict(*net, x, count), walked))
-                << simd_backend_label(backend) << " fused, batch " << count;
-            set_epilogue_fusion(false);
-            EXPECT_TRUE(same_bits(predict(*net, x, count), walked))
-                << simd_backend_label(backend) << " unfused, batch " << count;
+                << simd_backend_label(backend) << " direct, batch " << count;
+            EXPECT_TRUE(same_bits(layer_walk(*net, x, count, &planned), walked))
+                << simd_backend_label(backend) << " stack plans, batch " << count;
         }
     }
 }

@@ -26,6 +26,8 @@
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
+#include "layer_walk.hpp"
+
 namespace fallsense::nn {
 namespace {
 
@@ -44,15 +46,6 @@ struct simd_mode_guard {
 struct simd_backend_cap_guard {
     explicit simd_backend_cap_guard(simd_backend cap) { set_simd_backend_cap(cap); }
     ~simd_backend_cap_guard() { set_simd_backend_cap(simd_backend::avx512); }
-};
-
-/// Force the epilogue-fusion planner flag, restoring the prior value.
-struct fusion_guard {
-    bool saved;
-    explicit fusion_guard(bool on) : saved(epilogue_fusion_enabled()) {
-        set_epilogue_fusion(on);
-    }
-    ~fusion_guard() { set_epilogue_fusion(saved); }
 };
 
 /// Restores the default pool size even when an assertion fails mid-test.
@@ -401,10 +394,10 @@ std::unique_ptr<sequential> make_fusable_stack(std::uint64_t seed) {
 }
 
 TEST(SimdFusionTest, SequentialFusionBitIdenticalToUnfusedPerBackend) {
-    // Plan-time fusion absorbs the ReLU layers into the preceding GEMM
-    // calls; because the fused kernel replays the exact unfused op
-    // sequence, forward_into output must not change by a single bit — per
-    // backend, and also versus the allocating forward() path.
+    // The plan absorbs the ReLU layers into the preceding GEMM calls;
+    // because the fused kernel replays the exact unfused op sequence,
+    // forward_into output must equal the layer-by-layer walk bit for bit —
+    // per backend, and also the allocating forward() path.
     const shape_t row_shape{20, 3};
     const std::size_t batch = 5;
     tensor x({batch, 20, 3});
@@ -419,17 +412,13 @@ TEST(SimdFusionTest, SequentialFusionBitIdenticalToUnfusedPerBackend) {
         auto net = make_fusable_stack(65);
         const tensor reference = net->forward(x, /*training=*/false);
 
-        auto run = [&](bool fuse) {
-            fusion_guard fusion(fuse);
-            const std::size_t bytes = net->infer_workspace_bytes(row_shape, batch);
-            std::vector<float> ws((bytes + sizeof(float) - 1) / sizeof(float));
-            std::vector<float> out(batch);
-            net->forward_into(std::span<const float>(x.data(), x.size()), row_shape,
-                              batch, ws, out);
-            return out;
-        };
-        const std::vector<float> fused = run(true);
-        const std::vector<float> unfused = run(false);
+        const std::size_t bytes = net->infer_workspace_bytes(row_shape, batch);
+        std::vector<float> ws((bytes + sizeof(float) - 1) / sizeof(float));
+        std::vector<float> fused(batch);
+        net->forward_into(std::span<const float>(x.data(), x.size()), row_shape, batch, ws,
+                          fused);
+        const std::vector<float> unfused =
+            walk_layers(*net, std::vector<float>(x.data(), x.data() + x.size()), row_shape, batch);
         ASSERT_EQ(fused.size(), unfused.size());
         for (std::size_t i = 0; i < fused.size(); ++i) {
             EXPECT_EQ(fused[i], unfused[i])
@@ -443,8 +432,7 @@ TEST(SimdFusionTest, SequentialFusionBitIdenticalToUnfusedPerBackend) {
 TEST(SimdFusionTest, TrainingForwardStillMaterializesReluMask) {
     // Fusion only rewires the inference plan: the training-path forward
     // keeps the explicit ReLU layer (its mask feeds backward), so gradients
-    // are untouched by the fusion flag.
-    fusion_guard fusion(true);
+    // are untouched by it.
     auto net = make_fusable_stack(66);
     tensor x({2, 20, 3});
     util::rng gen(67);
