@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Docs consistency checker (wired as ctest `docs.check`).
 #
-# Scans README.md and docs/*.md for three kinds of claims and fails if any
+# Scans README.md and docs/*.md for six kinds of claims and fails if any
 # of them has drifted from the tree:
 #
 #   1. File paths — every token matching
@@ -20,9 +20,9 @@
 #      fallsense_tests lines don't count) must exist in tools/*.cpp, so a
 #      doc cannot show an invocation the tools would reject.
 #   5. Benchmark rows — every BM_* token a doc cites must be defined in
-#      bench/*.cpp, so docs (the simd_speedup / fused_speedup /
-#      restore_latency tables in docs/performance.md in particular)
-#      cannot reference a row the harness no longer emits.
+#      bench/*.cpp, so docs (the simd_speedup and restore_latency
+#      sections in docs/performance.md in particular) cannot reference a
+#      row the harness no longer emits.
 #   6. Eval API surface — everything outside src/eval must include the
 #      eval/eval.hpp umbrella, never the per-module headers
 #      (eval/metrics.hpp, eval/events.hpp, eval/roc.hpp,

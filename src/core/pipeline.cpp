@@ -1,5 +1,6 @@
 #include "core/pipeline.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -25,7 +26,6 @@ detector_state::detector_state(const detector_config& config)
                               config_.sample_rate_hz);
     }
     ring_.assign(config_.window_samples * k_feature_channels, 0.0f);
-    window_scratch_.assign(config_.window_samples * k_feature_channels, 0.0f);
     const double hop =
         static_cast<double>(config_.window_samples) * (1.0 - config_.overlap_fraction);
     hop_ = std::max<std::size_t>(1, static_cast<std::size_t>(std::lround(hop)));
@@ -68,17 +68,14 @@ bool detector_state::ingest(const data::raw_sample& sample) {
            (tick_ - config_.window_samples) % hop_ == 0;
 }
 
-std::span<const float> detector_state::assemble_window() {
-    // Unroll the ring into chronological order.  The scratch buffer is a
-    // member so the per-tick scoring path allocates nothing — this runs
-    // once per hop for every streamed sample in replay benches.
-    for (std::size_t i = 0; i < config_.window_samples; ++i) {
-        const std::size_t src = (tick_ + i) % config_.window_samples;
-        std::copy(ring_.begin() + static_cast<std::ptrdiff_t>(src * k_feature_channels),
-                  ring_.begin() + static_cast<std::ptrdiff_t>((src + 1) * k_feature_channels),
-                  window_scratch_.begin() + static_cast<std::ptrdiff_t>(i * k_feature_channels));
-    }
-    return window_scratch_;
+void detector_state::assemble_window(std::span<float> out) const {
+    FS_ARG_CHECK(out.size() == ring_.size(), "assemble_window needs one [window x 9] row");
+    // Unroll the ring into chronological order: the oldest slot is the one
+    // the next tick overwrites, so two contiguous copies cover the window.
+    const auto split =
+        static_cast<std::ptrdiff_t>((tick_ % config_.window_samples) * k_feature_channels);
+    const auto tail = std::copy(ring_.begin() + split, ring_.end(), out.begin());
+    std::copy(ring_.begin(), ring_.begin() + split, tail);
 }
 
 std::optional<detection> detector_state::apply_score(float score) {
@@ -142,23 +139,25 @@ void detector_state::reset() {
 }
 
 streaming_detector::streaming_detector(const detector_config& config, segment_scorer scorer)
-    : state_(config), scorer_(std::move(scorer)) {
+    : state_(config),
+      scorer_(std::move(scorer)),
+      window_(config.window_samples * k_feature_channels) {
     FS_ARG_CHECK(scorer_ != nullptr, "detector needs a scorer");
 }
 
 std::optional<detection> streaming_detector::push(const data::raw_sample& sample) {
     if (!state_.ingest(sample)) return std::nullopt;
-    const std::span<const float> window = state_.assemble_window();
+    state_.assemble_window(window_);
     float score = 0.0f;
     if (obs::enabled()) {
         const auto score_start = std::chrono::steady_clock::now();
-        score = scorer_(window);
+        score = scorer_(window_);
         const std::chrono::duration<double, std::micro> elapsed =
             std::chrono::steady_clock::now() - score_start;
         obs::observe_latency_us("stream/score_us", elapsed.count());
         obs::add_counter("stream/windows_scored");
     } else {
-        score = scorer_(window);
+        score = scorer_(window_);
     }
     return state_.apply_score(score);
 }

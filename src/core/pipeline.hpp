@@ -73,13 +73,14 @@ struct detector_state_image {
 /// out.  The lifecycle per tick is
 ///
 ///     if (state.ingest(sample)) {
-///         float p = score(state.assemble_window());
-///         auto trigger = state.apply_score(p);
+///         state.assemble_window(row);
+///         auto trigger = state.apply_score(score(row));
 ///     }
 ///
 /// and a caller may interleave the three steps across many states (ingest
-/// them all, score all due windows as one batch, then apply the scores in
-/// order) — exactly what serve::session_engine does.  `reset()` returns
+/// them all, assemble each due window straight into its row of one batch,
+/// score the batch, then apply the scores in order) — exactly what
+/// serve::session_engine does.  `reset()` returns
 /// the state to the freshly constructed condition, so evicted serving
 /// slots can be reused without reallocating.
 class detector_state {
@@ -90,9 +91,10 @@ public:
     /// true when a full window is due for scoring at this tick.
     bool ingest(const data::raw_sample& sample);
 
-    /// Chronological [window x 9] view of the window due at this tick.
-    /// Valid after `ingest` returned true, until the next `ingest` call.
-    std::span<const float> assemble_window();
+    /// Write the chronological [window x 9] window ending at the latest
+    /// tick into `out` (exactly window * 9 floats).  Called after `ingest`
+    /// returned true, before the next `ingest`.
+    void assemble_window(std::span<float> out) const;
 
     /// Record the score of the window due at this tick and apply the
     /// threshold + consecutive-window debouncing.  Returns the detection
@@ -116,8 +118,7 @@ private:
     detector_config config_;
     std::vector<dsp::butterworth_lowpass> filters_;  ///< 6 raw channels
     dsp::complementary_filter fusion_;
-    std::vector<float> ring_;            ///< [window x 9] circular feature buffer
-    std::vector<float> window_scratch_;  ///< chronological window handed to the scorer
+    std::vector<float> ring_;  ///< [window x 9] circular feature buffer
     std::size_t tick_ = 0;
     std::size_t hop_ = 1;
     float last_score_ = 0.0f;
@@ -140,6 +141,7 @@ public:
 private:
     detector_state state_;
     segment_scorer scorer_;
+    std::vector<float> window_;  ///< chronological window handed to the scorer
 };
 
 }  // namespace fallsense::core

@@ -1,5 +1,7 @@
 #include "nn/serialize.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -83,7 +85,15 @@ void load_weights(model& m, std::istream& in) {
                                   std::to_string(params.size()));
     }
     for (parameter* p : params) {
+        // Lengths are checked against the model before anything is sized
+        // from them, so a corrupt u32 cannot request a 4 GiB buffer.
         const auto name_len = read_pod<std::uint32_t>(in);
+        if (name_len != p->name.size()) {
+            throw serialize_error(serialize_error_kind::mismatch,
+                                  "weight stream parameter mismatch: expected '" + p->name +
+                                      "', found a " + std::to_string(name_len) +
+                                      "-byte name");
+        }
         std::string name(name_len, '\0');
         in.read(name.data(), name_len);
         if (!in) {
@@ -96,6 +106,12 @@ void load_weights(model& m, std::istream& in) {
                                       "', found '" + name + "'");
         }
         const auto rank = read_pod<std::uint32_t>(in);
+        if (rank != p->value.rank()) {
+            throw serialize_error(serialize_error_kind::mismatch,
+                                  "weight stream rank mismatch for '" + name + "': stream " +
+                                      std::to_string(rank) + ", model " +
+                                      std::to_string(p->value.rank()));
+        }
         shape_t shape(rank);
         for (auto& d : shape) d = static_cast<std::size_t>(read_pod<std::uint64_t>(in));
         if (shape != p->value.shape()) {
@@ -109,6 +125,11 @@ void load_weights(model& m, std::istream& in) {
         if (!in) {
             throw serialize_error(serialize_error_kind::truncated,
                                   "weight stream truncated in data for '" + name + "'");
+        }
+        if (!std::all_of(p->value.data(), p->value.data() + p->value.size(),
+                         [](float v) { return std::isfinite(v); })) {
+            throw serialize_error(serialize_error_kind::bad_value,
+                                  "weight stream has a NaN or infinite value in '" + name + "'");
         }
     }
 }

@@ -11,8 +11,14 @@
 // loudly instead of silently corrupting weights.
 //
 // Failures throw `serialize_error`, typed by what went wrong (a future
-// version, a truncated stream, a model mismatch, plain I/O) so callers
-// can distinguish "wrong file" from "wrong build" without string-matching.
+// version, a truncated stream, a model mismatch, a non-finite value, plain
+// I/O) so callers can distinguish "wrong file" from "wrong build" without
+// string-matching.  Every length the stream declares (name bytes, rank) is
+// compared with the model before anything is allocated from it, so a
+// corrupt file fails as `mismatch` instead of requesting a huge buffer.
+// A NaN or infinite parameter value fails as `bad_value`: such a model
+// would score every window NaN, and `NaN >= threshold` never triggers.
+// After a failed load the model's parameters are unspecified.
 // Loading still accepts the historical version-0 layout — the same stream
 // without the magic/version header (it started directly at param_count);
 // files that predate the header keep loading.  Saving always writes the
@@ -32,6 +38,7 @@ enum class serialize_error_kind {
     bad_version,  ///< versioned header with a version this build doesn't speak
     truncated,    ///< stream ended inside a header, name, shape, or data block
     mismatch,     ///< parameter count/name/shape differs from the model's
+    bad_value,    ///< a parameter value is NaN or infinite
     io,           ///< open/write failure
 };
 

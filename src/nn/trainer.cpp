@@ -224,20 +224,12 @@ train_history fit(model& m, const labeled_data& train, const labeled_data& valid
 
 std::vector<float> predict_proba(model& m, const tensor& features, std::size_t batch_size) {
     FS_ARG_CHECK(features.rank() >= 1, "predict_proba needs a batched tensor");
-    FS_ARG_CHECK(batch_size > 0, "batch_size must be positive");
     const std::size_t rows = features.dim(0);
-    std::vector<float> probs;
-    probs.reserve(rows);
-    std::vector<std::size_t> idx;
-    for (std::size_t start = 0; start < rows; start += batch_size) {
-        const std::size_t count = std::min(batch_size, rows - start);
-        idx.resize(count);
-        std::iota(idx.begin(), idx.end(), start);
-        const tensor x = gather_rows(features, idx);
-        const tensor logits = m.forward(x, /*training=*/false);
-        FS_CHECK(logits.size() == count, "model must emit one logit per sample");
-        for (std::size_t i = 0; i < count; ++i) probs.push_back(sigmoid_scalar(logits[i]));
-    }
+    shape_t row_shape;
+    for (std::size_t d = 1; d < features.rank(); ++d) row_shape.push_back(features.dim(d));
+    std::vector<float> probs(rows);
+    predict_proba_rows(m, {features.data(), features.size()}, rows, row_shape, probs,
+                       batch_size);
     return probs;
 }
 

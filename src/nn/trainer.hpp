@@ -99,7 +99,8 @@ train_history fit(model& m, const labeled_data& train, const labeled_data& valid
                   const train_config& config);
 
 /// Sigmoid probabilities for every row of `features`, evaluated in chunks so
-/// memory stays bounded.
+/// memory stays bounded.  Runs predict_proba_rows over the tensor's rows, so
+/// evaluation, replay and serving share one inference path.
 std::vector<float> predict_proba(model& m, const tensor& features,
                                  std::size_t batch_size = 256);
 

@@ -8,7 +8,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fallsense::serve {
 
@@ -56,13 +55,6 @@ struct session_engine::session_slot {
     std::deque<data::raw_sample> queue;
     session_stats stats;
     std::size_t drain_rate;  ///< samples dequeued per tick (adaptive)
-    // Per-tick staging: windows due this tick (row-major, back to back),
-    // the session-local tick each was scored at, and how many queued
-    // samples phase A consumed.
-    std::vector<float> pending;
-    std::vector<std::size_t> pending_ticks;
-    std::size_t ingested_this_tick = 0;
-    std::size_t batch_offset = 0;
 };
 
 session_engine::session_engine(const engine_config& config, batch_scorer& scorer)
@@ -148,110 +140,70 @@ bool session_engine::feed(session_id id, const data::raw_sample& sample) {
 
 std::size_t session_engine::tick_ingest() {
     ++totals_.ticks;
-    live_.clear();
-    for (std::size_t i = 0; i < sessions_.size(); ++i) {
-        if (sessions_[i]) live_.push_back(i);
-    }
-    pending_windows_ = 0;
+    due_.clear();
     tick_ingested_ = 0;
-    if (live_.empty()) return 0;
-
-    // Phase A — ingest + window assembly, parallel over sessions.  Each
-    // task touches only its own session (index-addressed), so the set of
-    // due windows is deterministic for any thread count.  The single
-    // context capture keeps the closure inside the std::function
-    // small-buffer store — the tick hot path must not heap-allocate.
-    struct ingest_ctx {
-        session_engine* self;
-        bool adaptive;
-        std::size_t watermark;
-    } ctx{this, config_.adaptive_drain(), config_.effective_watermark()};
-    util::parallel_for(0, live_.size(), 1, [&ctx](std::size_t li) {
-        session_engine& eng = *ctx.self;
-        session_slot& s = *eng.sessions_[eng.live_[li]];
-        s.pending.clear();
-        s.pending_ticks.clear();
-        s.ingested_this_tick = 0;
-        if (ctx.adaptive) {
+    const bool adaptive = config_.adaptive_drain();
+    const std::size_t watermark = config_.effective_watermark();
+    // Phase A — ingest, serially in ascending session id.  Each due window
+    // is assembled once, straight into its batch row, so the batch order is
+    // the canonical one: ascending session, chronological within a session.
+    for (std::size_t id = 0; id < sessions_.size(); ++id) {
+        if (!sessions_[id]) continue;
+        session_slot& s = *sessions_[id];
+        if (adaptive) {
             // Pure function of the queue depth at tick start: double
             // toward the max while backlogged, halve back once drained.
-            if (s.queue.size() > ctx.watermark) {
-                s.drain_rate = std::min(s.drain_rate * 2, eng.config_.max_samples_per_tick);
+            if (s.queue.size() > watermark) {
+                s.drain_rate = std::min(s.drain_rate * 2, config_.max_samples_per_tick);
             } else {
-                s.drain_rate = std::max(s.drain_rate / 2, eng.config_.samples_per_tick);
+                s.drain_rate = std::max(s.drain_rate / 2, config_.samples_per_tick);
             }
         }
         for (std::size_t k = 0; k < s.drain_rate && !s.queue.empty(); ++k) {
             const data::raw_sample sample = s.queue.front();
             s.queue.pop_front();
             ++s.stats.ingested;
-            ++s.ingested_this_tick;
-            if (s.state.ingest(sample)) {
-                const std::span<const float> w = s.state.assemble_window();
-                s.pending.insert(s.pending.end(), w.begin(), w.end());
-                s.pending_ticks.push_back(s.state.samples_seen() - 1);
-            }
+            ++tick_ingested_;
+            if (!s.state.ingest(sample)) continue;
+            const std::size_t row = due_.size() * window_elems_;
+            if (batch_.size() < row + window_elems_) batch_.resize(row + window_elems_);
+            s.state.assemble_window({batch_.data() + row, window_elems_});
+            due_.push_back({static_cast<session_id>(id), s.state.samples_seen() - 1});
         }
-    });
-
-    // Phase B-gather — every due window into one batch.  Offsets depend
-    // only on the (ascending) session order.
-    std::size_t total_windows = 0;
-    for (const std::size_t si : live_) {
-        session_slot& s = *sessions_[si];
-        tick_ingested_ += s.ingested_this_tick;
-        s.batch_offset = total_windows;
-        total_windows += s.pending_ticks.size();
     }
     totals_.ingested += tick_ingested_;
-
-    if (total_windows > 0) {
-        batch_.resize(total_windows * window_elems_);
-        util::parallel_for(0, live_.size(), 1, [this](std::size_t li) {
-            session_slot& s = *sessions_[live_[li]];
-            if (s.pending.empty()) return;
-            std::copy(s.pending.begin(), s.pending.end(),
-                      batch_.begin() +
-                          static_cast<std::ptrdiff_t>(s.batch_offset * window_elems_));
-        });
-    }
-    pending_windows_ = total_windows;
-    return total_windows;
+    return due_.size();
 }
 
 std::span<const float> session_engine::pending_windows() const {
-    return {batch_.data(), pending_windows_ * window_elems_};
+    return {batch_.data(), due_.size() * window_elems_};
 }
 
 tick_result session_engine::tick_apply(std::span<const float> scores) {
-    FS_ARG_CHECK(scores.size() == pending_windows_,
+    FS_ARG_CHECK(scores.size() == due_.size(),
                  "tick_apply needs one score per pending window");
     tick_result result;
     result.samples_ingested = tick_ingested_;
-    if (pending_windows_ == 0) return result;
+    result.windows_scored = due_.size();
+    totals_.windows_scored += due_.size();
 
-    // Phase C — apply scores serially in ascending session-id order,
-    // chronologically within a session: the one canonical trigger and
-    // debounce order.
-    for (const std::size_t si : live_) {
-        session_slot& s = *sessions_[si];
-        for (std::size_t j = 0; j < s.pending_ticks.size(); ++j) {
-            if (const auto d = s.state.apply_score(scores[s.batch_offset + j])) {
-                // apply_score stamps the detection with the CURRENT
-                // tick; when the drain rate is > 1 ingestion has moved
-                // past the scoring tick, so use the staged one.
-                result.triggers.push_back(
-                    {static_cast<session_id>(si), s.pending_ticks[j], d->probability});
-                ++s.stats.triggers;
-                ++totals_.triggers;
-                obs::add_counter("serve/triggers");
-            }
+    // Phase C — apply scores serially in batch order, which is the one
+    // canonical trigger and debounce order.
+    for (std::size_t i = 0; i < due_.size(); ++i) {
+        const due_window& w = due_[i];
+        session_slot& s = *sessions_[w.session];
+        ++s.stats.windows_scored;
+        if (const auto d = s.state.apply_score(scores[i])) {
+            // apply_score stamps the detection with the CURRENT tick; when
+            // the drain rate is > 1 ingestion has moved past the scoring
+            // tick, so use the recorded one.
+            result.triggers.push_back({w.session, w.tick, d->probability});
+            ++s.stats.triggers;
+            ++totals_.triggers;
+            obs::add_counter("serve/triggers");
         }
-        s.stats.windows_scored += s.pending_ticks.size();
     }
-    totals_.windows_scored += pending_windows_;
-    result.windows_scored = pending_windows_;
-    pending_windows_ = 0;
+    due_.clear();
     return result;
 }
 

@@ -8,26 +8,26 @@
 // same accepted samples.
 //
 // A `tick()` advances every session by up to its drain rate in queued
-// samples, gathers ALL windows that became due across sessions into one
+// samples, assembles ALL windows that became due across sessions into one
 // row-major batch, scores them with a single batch_scorer call, and then
 // applies thresholds/debouncing per session.  The three phases keep the
 // engine deterministic for any FALLSENSE_THREADS:
 //
-//   A. ingest + window assembly — parallel over sessions, each session
-//      writes only its own state and staging buffer (index-addressed);
-//   B. batch gather + one scorer call — offsets are a pure function of the
-//      session order, and every scorer implementation guarantees
+//   A. ingest — serial in ascending session id; each due window is
+//      assembled once, straight into the next row of the engine's batch,
+//      so rows run in ascending session, chronological within a session;
+//   B. one scorer call — every scorer implementation guarantees
 //      probability i depends only on window i;
-//   C. score application — serial in ascending session-id order, so the
-//      trigger list and debounce transitions have one canonical order.
+//   C. score application — serial in batch order, so the trigger list and
+//      debounce transitions have one canonical order.
 //
-// The three phases are also exposed individually (`tick_ingest`,
-// `pending_windows`, `tick_apply`) so an external batcher — the
-// serve::fleet_router — can run phase A on many engines in parallel,
-// concatenate their staged windows into one fleet-wide batch, score it
-// with a single scorer call, and hand each engine its slice of scores.
-// `tick()` is exactly the composition of the three with the engine's own
-// scorer in the middle.
+// The engine has no parallel axis of its own.  The three phases are also
+// exposed individually (`tick_ingest`, `pending_windows`, `tick_apply`) so
+// an external batcher — the serve::fleet_router — can run phase A on its
+// shard engines in parallel, concatenate their batches into one fleet-wide
+// batch, score it with a single scorer call, and hand each engine its
+// slice of scores.  `tick()` is exactly the composition of the three with
+// the engine's own scorer in the middle.
 //
 // Admission is per-session and bounded: when a session's queue is full,
 // `drop_policy::drop_oldest` evicts the oldest queued sample (freshest-data
@@ -175,13 +175,13 @@ public:
     /// samples, batch-score all due windows, apply debouncing.
     tick_result tick();
 
-    /// Phase A + B-gather for an external batcher: ingest queued samples,
-    /// stage every window that became due into one row-major buffer, and
-    /// return the number of staged windows.  Must be followed by exactly
-    /// one `tick_apply` (even when 0 windows are pending, so ingestion
-    /// counters land in a result).
+    /// Phase A for an external batcher: ingest queued samples, assemble
+    /// every window that became due into one row-major batch, and return
+    /// the number of pending windows.  Must be followed by exactly one
+    /// `tick_apply` (even when 0 windows are pending, so ingestion
+    /// counters land in a result); no session may be evicted in between.
     std::size_t tick_ingest();
-    /// Row-major [pending x window_elems] view of the windows staged by
+    /// Row-major [pending x window_elems] view of the windows assembled by
     /// the last `tick_ingest`; valid until the next `tick_ingest`.
     std::span<const float> pending_windows() const;
     std::size_t window_elems() const { return window_elems_; }
@@ -233,13 +233,17 @@ private:
     std::vector<std::unique_ptr<session_slot>> sessions_;  ///< index == id; null when evicted
     std::size_t live_count_ = 0;
     engine_stats totals_;
+    /// One window assembled by the last tick_ingest, in batch order.
+    struct due_window {
+        session_id session;
+        std::size_t tick;  ///< session-local tick the window was scored at
+    };
     // Tick scratch (reused across ticks so the steady state allocates
     // nothing once queues and batches have reached their high-water marks).
-    std::vector<std::size_t> live_;
-    std::vector<float> batch_;
+    std::vector<float> batch_;  ///< row-major [due x window_elems], never shrinks
+    std::vector<due_window> due_;
     std::vector<float> scores_;
-    std::size_t pending_windows_ = 0;   ///< staged by the last tick_ingest
-    std::uint64_t tick_ingested_ = 0;   ///< samples consumed by the last tick_ingest
+    std::uint64_t tick_ingested_ = 0;  ///< samples consumed by the last tick_ingest
 };
 
 }  // namespace fallsense::serve

@@ -125,8 +125,8 @@ tick_result fleet_router::tick() {
     OBS_SCOPE("serve/fleet_tick");
     ++ticks_;
 
-    // Phase 1 — shard ingest in parallel.  Shards share no state, and the
-    // engine's internal parallel_for runs inline inside a pool task.
+    // Phase 1 — shard ingest in parallel.  Shards share no state, and each
+    // engine ingests its own sessions serially inside its pool task.
     const clock::time_point t_start = clock::now();
     util::parallel_for(0, shards_.size(), 1, [this](std::size_t s) {
         shards_[s]->pending = shards_[s]->engine.tick_ingest();

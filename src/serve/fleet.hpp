@@ -6,8 +6,8 @@
 // router tick runs the engine sub-phases fleet-wide:
 //
 //   1. shard ingest — every shard runs `tick_ingest` as one thread-pool
-//      task (per-shard state is disjoint, and the engine's own nested
-//      parallel_for runs inline inside a pool task);
+//      task (per-shard state is disjoint, and an engine ingests its
+//      sessions serially — shards are the only parallel axis);
 //   2. score — governed by `fleet_config::mode`:
 //        fused (default): each shard's staged windows are copied, in
 //        ascending shard order, into ONE row-major buffer scored by a

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "nn/activations.hpp"
@@ -155,6 +157,65 @@ TEST(SerializeTest, ErrorKindsDistinguishTruncationFromMismatch) {
     } catch (const serialize_error& e) {
         EXPECT_EQ(e.kind(), serialize_error_kind::mismatch);
     }
+}
+
+// Overwrite the little-endian u32 at `offset` of a serialized stream.
+std::string with_u32(std::string bytes, std::size_t offset, std::uint32_t value) {
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    return bytes;
+}
+
+serialize_error_kind load_error_kind(model& m, const std::string& bytes) {
+    std::stringstream in(bytes);
+    try {
+        load_weights(m, in);
+    } catch (const serialize_error& e) {
+        return e.kind();
+    }
+    ADD_FAILURE() << "stream should not load";
+    return serialize_error_kind::io;
+}
+
+// Header (magic + version) and the u64 parameter count precede the first
+// parameter's u32 name length.
+constexpr std::size_t k_first_name_len_offset = 16;
+
+TEST(SerializeTest, RejectsNonFiniteWeightWithTypedError) {
+    auto src = make_net(27);
+    src->parameters()[1]->value[0] = std::numeric_limits<float>::quiet_NaN();
+    std::stringstream buffer;
+    save_weights(*src, buffer);
+
+    auto dst = make_net(28);
+    EXPECT_EQ(load_error_kind(*dst, buffer.str()), serialize_error_kind::bad_value);
+
+    src->parameters()[1]->value[0] = -std::numeric_limits<float>::infinity();
+    std::stringstream inf_buffer;
+    save_weights(*src, inf_buffer);
+    EXPECT_EQ(load_error_kind(*dst, inf_buffer.str()), serialize_error_kind::bad_value);
+}
+
+TEST(SerializeTest, RejectsHugeNameLengthBeforeAllocating) {
+    auto src = make_net(29);
+    std::stringstream buffer;
+    save_weights(*src, buffer);
+    const std::string corrupt =
+        with_u32(buffer.str(), k_first_name_len_offset, 0xFFFFFFF0u);
+
+    auto dst = make_net(30);
+    EXPECT_EQ(load_error_kind(*dst, corrupt), serialize_error_kind::mismatch);
+}
+
+TEST(SerializeTest, RejectsHugeRankBeforeAllocating) {
+    auto src = make_net(31);
+    std::stringstream buffer;
+    save_weights(*src, buffer);
+    const std::size_t rank_offset =
+        k_first_name_len_offset + sizeof(std::uint32_t) + src->parameters()[0]->name.size();
+    const std::string corrupt = with_u32(buffer.str(), rank_offset, 0xFFFFFFFFu);
+
+    auto dst = make_net(32);
+    EXPECT_EQ(load_error_kind(*dst, corrupt), serialize_error_kind::mismatch);
 }
 
 TEST(SerializeTest, FileRoundTrip) {

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "data/synthesizer.hpp"
 #include "util/thread_pool.hpp"
@@ -215,23 +217,43 @@ TEST(SessionEngineTest, SampleIsFiniteChecksEveryComponent) {
 
 TEST(SessionEngineTest, SamplesPerTickDrainsBacklog) {
     const data::trial t = make_trial(30, 3);
-    engine_config config = make_config(0.65);
-    config.queue_capacity = t.sample_count();
-    config.samples_per_tick = 8;
-    callback_batch_scorer scorer(freefall_scorer);
-    session_engine engine(config, scorer);
-    const session_id id = engine.create_session();
-
-    for (const data::raw_sample& s : t.samples) ASSERT_TRUE(engine.feed(id, s));
-    std::uint64_t triggers = 0;
-    while (engine.queue_depth(id) > 0) triggers += engine.tick().triggers.size();
 
     // Same accepted samples -> same behavior as one-at-a-time ingestion.
-    core::streaming_detector reference(config.detector, freefall_scorer);
-    std::uint64_t want = 0;
-    for (const data::raw_sample& s : t.samples) want += reference.push(s).has_value();
-    EXPECT_EQ(triggers, want);
-    EXPECT_EQ(engine.stats(id).ingested, t.sample_count());
+    std::uint64_t want_windows = 0;
+    core::streaming_detector reference(make_config(0.65).detector,
+                                       [&](std::span<const float> w) {
+                                           ++want_windows;
+                                           return freefall_scorer(w);
+                                       });
+    std::vector<std::pair<std::size_t, float>> want;
+    for (const data::raw_sample& s : t.samples) {
+        if (const auto d = reference.push(s)) want.emplace_back(d->sample_index, d->probability);
+    }
+    ASSERT_FALSE(want.empty());
+
+    // 25 samples per tick exceeds the hop of 10, so one session has
+    // several windows due in a single tick.
+    for (const std::size_t rate : {std::size_t{8}, std::size_t{25}}) {
+        SCOPED_TRACE(rate);
+        engine_config config = make_config(0.65);
+        config.queue_capacity = t.sample_count();
+        config.samples_per_tick = rate;
+        callback_batch_scorer scorer(freefall_scorer);
+        session_engine engine(config, scorer);
+        const session_id id = engine.create_session();
+
+        for (const data::raw_sample& s : t.samples) ASSERT_TRUE(engine.feed(id, s));
+        std::vector<std::pair<std::size_t, float>> got;
+        while (engine.queue_depth(id) > 0) {
+            for (const trigger_event& e : engine.tick().triggers) {
+                EXPECT_EQ(e.session, id);
+                got.emplace_back(e.sample_index, e.probability);
+            }
+        }
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(engine.stats(id).windows_scored, want_windows);
+        EXPECT_EQ(engine.stats(id).ingested, t.sample_count());
+    }
 }
 
 TEST(SessionEngineTest, TickOutputIsThreadCountInvariant) {
