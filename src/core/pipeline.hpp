@@ -1,25 +1,30 @@
 // Real-time pre-impact fall detection pipeline (Figure 2).
 //
-// `detector_state` is the per-stream half of the pipeline: every 10 ms tick
-// it filters the raw sample (streaming Butterworth), updates the
-// sensor-fusion attitude, appends the 9-feature row to a ring buffer, and
-// reports when a full window is due for scoring; once a score is available
-// it applies the decision threshold and debouncing.  Scoring itself is kept
-// outside the state so a serving engine (src/serve) can host thousands of
-// these states and score all due windows as one batch.
+// `detector_table` is the per-stream half of the pipeline for any number
+// of streams that share one `detector_config`: every 10 ms tick it filters
+// a stream's raw sample (streaming Butterworth), updates its sensor-fusion
+// attitude, appends the 9-feature row to its ring buffer, and reports when
+// a full window is due for scoring; once a score is available it applies
+// the decision threshold and debouncing.  The Butterworth sections are
+// designed once per table; each stream is a slot in flat per-field slabs
+// (filter delay lines, attitude, tick, debounce run, last score, ring), so
+// a serving engine (src/serve) hosts thousands of streams without a heap
+// object per stream.  Scoring is kept outside the table so those engines
+// can score all due windows as one batch.
 //
-// `streaming_detector` binds one state to one `segment_scorer` callback —
-// the single-stream firmware structure: filter, fuse, buffer, score every
-// hop (window * (1 - overlap)).  A score above the decision threshold
-// raises the trigger — the signal that would fire the airbag squib.
+// `streaming_detector` is a one-slot table bound to one `segment_scorer`
+// callback — the single-stream firmware structure: filter, fuse, buffer,
+// score every hop (window * (1 - overlap)).  A score above the decision
+// threshold raises the trigger — the signal that would fire the airbag
+// squib.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/preprocess.hpp"
@@ -27,6 +32,7 @@
 #include "data/types.hpp"
 #include "dsp/biquad.hpp"
 #include "dsp/fusion.hpp"
+#include "util/slab.hpp"
 
 namespace fallsense::core {
 
@@ -44,6 +50,14 @@ struct detector_config {
     std::size_t consecutive_required = 1;
     preprocess_config preprocess{};
     double sample_rate_hz = 100.0;
+
+    /// Configuration error, or std::nullopt when the config is usable:
+    /// window_samples > 0, overlap in [0, 1), threshold in [0, 1], an even
+    /// filter order >= 2, 0 < cutoff < sample_rate / 2, sample_rate > 0 and
+    /// the fusion gyro_weight in [0, 1].  detector_table (so also
+    /// streaming_detector) throws std::invalid_argument with this
+    /// description; serve::engine_config::validate includes it.
+    std::optional<std::string> validate() const;
 };
 
 /// One positive window during streaming.
@@ -52,9 +66,9 @@ struct detection {
     float probability = 0.0f;
 };
 
-/// Value-type image of a `detector_state` mid-stream: everything a restore
-/// needs beyond the (re-derivable) config — tick position, debounce run,
-/// filter delay lines, fused attitude, and the raw ring contents.  The
+/// Value-type image of one detector-table slot mid-stream: everything a
+/// restore needs beyond the (re-derivable) config — tick position, debounce
+/// run, filter delay lines, fused attitude, and the raw ring contents.  The
 /// checkpoint codec in src/ckpt serializes exactly these fields
 /// (docs/checkpoint.md); capture/restore are only meaningful between ticks.
 struct detector_state_image {
@@ -69,60 +83,74 @@ struct detector_state_image {
     std::vector<float> ring;
 };
 
-/// Per-stream filter/fusion/window/debounce state with scoring factored
-/// out.  The lifecycle per tick is
+/// Filter/fusion/window/debounce state of many streams of one config,
+/// with scoring factored out.  The lifecycle of one stream per tick is
 ///
-///     if (state.ingest(sample)) {
-///         state.assemble_window(row);
-///         auto trigger = state.apply_score(score(row));
+///     if (table.ingest(slot, sample)) {
+///         table.assemble_window(slot, row);
+///         auto trigger = table.apply_score(slot, score(row));
 ///     }
 ///
-/// and a caller may interleave the three steps across many states (ingest
+/// and a caller may interleave the three steps across many slots (ingest
 /// them all, assemble each due window straight into its row of one batch,
 /// score the batch, then apply the scores in order) — exactly what
-/// serve::session_engine does.  `reset()` returns
-/// the state to the freshly constructed condition, so evicted serving
-/// slots can be reused without reallocating.
-class detector_state {
+/// serve::session_engine does.  Slot indices are dense: `acquire` reuses
+/// the most recently released slot, else grows every slab by one.
+class detector_table {
 public:
-    explicit detector_state(const detector_config& config);
+    /// Validates the config (detector_config::validate) and designs the
+    /// Butterworth sections shared by every slot and channel.
+    explicit detector_table(const detector_config& config);
 
-    /// Advance one tick: filter, fuse, append the feature row.  Returns
-    /// true when a full window is due for scoring at this tick.
-    bool ingest(const data::raw_sample& sample);
+    /// A fresh slot: zero ring, tick 0, NaN last score, filters unprimed,
+    /// fusion uninitialised, debounce run 0.
+    std::size_t acquire();
+    /// Hand a slot's storage back for reuse by a later `acquire`.
+    void release(std::size_t slot);
 
-    /// Write the chronological [window x 9] window ending at the latest
-    /// tick into `out` (exactly window * 9 floats).  Called after `ingest`
-    /// returned true, before the next `ingest`.
-    void assemble_window(std::span<float> out) const;
+    /// Advance one tick of `slot`: filter, fuse, append the feature row.
+    /// Returns true when a full window is due for scoring at this tick.
+    bool ingest(std::size_t slot, const data::raw_sample& sample);
+
+    /// Write the chronological [window x 9] window ending at the slot's
+    /// latest tick into `out` (exactly window_elems() floats).  Called after
+    /// `ingest` returned true, before the slot's next `ingest`.
+    void assemble_window(std::size_t slot, std::span<float> out) const;
 
     /// Record the score of the window due at this tick and apply the
     /// threshold + consecutive-window debouncing.  Returns the detection
     /// when the trigger fires.
-    std::optional<detection> apply_score(float score);
+    std::optional<detection> apply_score(std::size_t slot, float score);
 
-    /// Score recorded at the last scoring tick (NaN before the first one).
-    float last_score() const { return last_score_; }
-    std::size_t samples_seen() const { return tick_; }
-    const detector_config& config() const { return config_; }
-    void reset();
+    /// Score recorded at the slot's last scoring tick (NaN before the first).
+    float last_score(std::size_t slot) const { return last_score_[slot]; }
+    std::uint64_t samples_seen(std::size_t slot) const { return tick_[slot]; }
+    /// Floats per window: window_samples * 9.
+    std::size_t window_elems() const { return window_elems_; }
+    /// Return a slot to the freshly acquired condition.
+    void reset(std::size_t slot);
 
-    /// Capture the full streaming state into `out` (reusing its buffers).
-    void capture(detector_state_image& out) const;
+    /// Capture a slot's full streaming state into `out` (reusing its buffers).
+    void capture(std::size_t slot, detector_state_image& out) const;
     /// Install a previously captured image.  The image must come from a
-    /// state with the same config (sizes are validated); afterwards this
-    /// state continues the stream bit-identically to the captured one.
-    void restore(const detector_state_image& image);
+    /// table with the same config (sizes are validated); afterwards the
+    /// slot continues the stream bit-identically to the captured one.
+    void restore(std::size_t slot, const detector_state_image& image);
 
 private:
     detector_config config_;
-    std::vector<dsp::butterworth_lowpass> filters_;  ///< 6 raw channels
-    dsp::complementary_filter fusion_;
-    std::vector<float> ring_;  ///< [window x 9] circular feature buffer
-    std::size_t tick_ = 0;
+    std::vector<dsp::biquad> sections_;  ///< order/2 sections, shared by all channels
+    dsp::complementary_filter fusion_;   ///< the fusion config; estimates live per slot
     std::size_t hop_ = 1;
-    float last_score_ = 0.0f;
-    std::size_t positive_run_ = 0;  ///< consecutive above-threshold windows
+    std::size_t window_elems_ = 0;
+    std::vector<std::size_t> released_;  ///< slots free for reuse, most recent last
+    // Per-slot state, index == slot.
+    util::slab<dsp::biquad_state> filter_;  ///< per slot: [6 channels][sections]
+    util::slab<float> ring_;                ///< per slot: [window x 9] circular buffer
+    std::vector<dsp::fusion_state> fusion_state_;
+    std::vector<std::uint64_t> tick_;
+    std::vector<std::uint64_t> positive_run_;  ///< consecutive above-threshold windows
+    std::vector<float> last_score_;
 };
 
 class streaming_detector {
@@ -134,12 +162,13 @@ public:
     std::optional<detection> push(const data::raw_sample& sample);
 
     /// Score emitted at the last scoring tick (NaN before the first one).
-    float last_score() const { return state_.last_score(); }
-    std::size_t samples_seen() const { return state_.samples_seen(); }
-    void reset() { state_.reset(); }
+    float last_score() const { return table_.last_score(k_slot); }
+    std::size_t samples_seen() const { return table_.samples_seen(k_slot); }
+    void reset() { table_.reset(k_slot); }
 
 private:
-    detector_state state_;
+    static constexpr std::size_t k_slot = 0;
+    detector_table table_;
     segment_scorer scorer_;
     std::vector<float> window_;  ///< chronological window handed to the scorer
 };

@@ -12,28 +12,8 @@ namespace fallsense::dsp {
 biquad::biquad(double b0, double b1, double b2, double a1, double a2)
     : b0_(b0), b1_(b1), b2_(b2), a1_(a1), a2_(a2) {}
 
-float biquad::process(float x) {
-    // Direct form II transposed: good numerical behavior for audio-rate IIR.
-    const double y = b0_ * x + s1_;
-    s1_ = b1_ * x - a1_ * y + s2_;
-    s2_ = b2_ * x - a2_ * y;
-    return static_cast<float>(y);
-}
-
 void biquad::process_inplace(std::span<float> samples) {
     for (float& s : samples) s = process(s);
-}
-
-void biquad::reset() { s1_ = s2_ = 0.0; }
-
-void biquad::prime(float steady_input) {
-    // Steady state for constant input x: y = G x with G the DC gain, and
-    // the DF2T delay line solved from its update equations.
-    const double x = steady_input;
-    const double gain = (b0_ + b1_ + b2_) / (1.0 + a1_ + a2_);
-    const double y = gain * x;
-    s2_ = b2_ * x - a2_ * y;
-    s1_ = y - b0_ * x;
 }
 
 double biquad::magnitude_at(double freq_hz, double sample_rate_hz) const {
@@ -91,11 +71,6 @@ void butterworth_lowpass::reset() {
 void butterworth_lowpass::prime(float steady_input) {
     // Unity DC gain per section: every section sees the same steady input.
     for (biquad& s : sections_) s.prime(steady_input);
-}
-
-void butterworth_lowpass::set_section_state(std::size_t index, double s1, double s2) {
-    FS_ARG_CHECK(index < sections_.size(), "section index out of range");
-    sections_[index].set_state(s1, s2);
 }
 
 double butterworth_lowpass::magnitude_at(double freq_hz) const {

@@ -14,22 +14,51 @@
 
 namespace fallsense::dsp {
 
+/// Direct form II transposed delay line of one section: two doubles fully
+/// describe a section mid-stream.
+struct biquad_state {
+    double s1 = 0.0;
+    double s2 = 0.0;
+};
+
 /// One biquad: y[n] = b0 x[n] + b1 x[n-1] + b2 x[n-2] - a1 y[n-1] - a2 y[n-2]
 /// (a0 normalized to 1).  Stateful: process() streams.
+///
+/// `step` and `prime` are the section's only formulas; they also run on an
+/// external delay line, so a caller hosting many streams of one design
+/// (core::detector_table) keeps the coefficients once and the states in
+/// flat arrays.
 class biquad {
 public:
     biquad() = default;
     biquad(double b0, double b1, double b2, double a1, double a2);
 
     /// Process one sample (direct form II transposed).
-    float process(float x);
+    float process(float x) { return step(state_, x); }
     /// Process a buffer in place.
     void process_inplace(std::span<float> samples);
     /// Clear delay-line state.
-    void reset();
+    void reset() { state_ = {}; }
     /// Set the delay line to the steady state for a constant input — kills
     /// the startup transient when a stream begins mid-signal.
-    void prime(float steady_input);
+    void prime(float steady_input) { prime(state_, steady_input); }
+
+    /// One DF2T step of `state` with this section's coefficients.
+    float step(biquad_state& state, float x) const {
+        const double y = b0_ * x + state.s1;
+        state.s1 = b1_ * x - a1_ * y + state.s2;
+        state.s2 = b2_ * x - a2_ * y;
+        return static_cast<float>(y);
+    }
+    /// Steady state of `state` for a constant input x: y = G x with G the
+    /// DC gain, and the delay line solved from the DF2T update equations.
+    void prime(biquad_state& state, float steady_input) const {
+        const double x = steady_input;
+        const double gain = (b0_ + b1_ + b2_) / (1.0 + a1_ + a2_);
+        const double y = gain * x;
+        state.s2 = b2_ * x - a2_ * y;
+        state.s1 = y - b0_ * x;
+    }
 
     /// Magnitude response at normalized frequency f (Hz) for sample rate fs.
     double magnitude_at(double freq_hz, double sample_rate_hz) const;
@@ -40,19 +69,9 @@ public:
     double a1() const { return a1_; }
     double a2() const { return a2_; }
 
-    /// DF2T delay-line state, exposed for checkpointing: two doubles fully
-    /// describe a section mid-stream.
-    double state_s1() const { return s1_; }
-    double state_s2() const { return s2_; }
-    /// Install a previously captured delay line (checkpoint restore).
-    void set_state(double s1, double s2) {
-        s1_ = s1;
-        s2_ = s2;
-    }
-
 private:
     double b0_ = 1.0, b1_ = 0.0, b2_ = 0.0, a1_ = 0.0, a2_ = 0.0;
-    double s1_ = 0.0, s2_ = 0.0;  // DF2T state
+    biquad_state state_;
 };
 
 /// RBJ-cookbook low-pass biquad for cutoff f0 and quality Q.
@@ -77,9 +96,6 @@ public:
     double cutoff_hz() const { return cutoff_hz_; }
     double sample_rate_hz() const { return sample_rate_hz_; }
     std::span<const biquad> sections() const { return sections_; }
-    /// Install one section's delay line (checkpoint restore; coefficients
-    /// are redesigned from the config, only state travels).
-    void set_section_state(std::size_t index, double s1, double s2);
 
 private:
     double cutoff_hz_;

@@ -23,26 +23,23 @@ euler_angles complementary_filter::accel_attitude(const vec3& accel_g) {
     return angles;
 }
 
-euler_angles complementary_filter::update(const vec3& accel_g, const vec3& gyro_rad_s) {
+euler_angles complementary_filter::step(fusion_state& state, const vec3& accel_g,
+                                        const vec3& gyro_rad_s) const {
     const double dt = 1.0 / config_.sample_rate_hz;
-    if (!initialized_) {
+    euler_angles& att = state.attitude;
+    if (!state.initialized) {
         // Bootstrap from the first accelerometer sample so the filter does
         // not start with a large transient.
-        state_ = accel_attitude(accel_g);
-        initialized_ = true;
-        return state_;
+        att = accel_attitude(accel_g);
+        state.initialized = true;
+        return att;
     }
     const euler_angles from_accel = accel_attitude(accel_g);
     const double a = config_.gyro_weight;
-    state_.pitch = a * (state_.pitch + gyro_rad_s.y * dt) + (1.0 - a) * from_accel.pitch;
-    state_.roll = a * (state_.roll + gyro_rad_s.x * dt) + (1.0 - a) * from_accel.roll;
-    state_.yaw = state_.yaw + gyro_rad_s.z * dt;  // pure integration
-    return state_;
-}
-
-void complementary_filter::reset() {
-    state_ = euler_angles{};
-    initialized_ = false;
+    att.pitch = a * (att.pitch + gyro_rad_s.y * dt) + (1.0 - a) * from_accel.pitch;
+    att.roll = a * (att.roll + gyro_rad_s.x * dt) + (1.0 - a) * from_accel.roll;
+    att.yaw = att.yaw + gyro_rad_s.z * dt;  // pure integration
+    return att;
 }
 
 }  // namespace fallsense::dsp

@@ -27,24 +27,30 @@ struct fusion_config {
     double gyro_weight = 0.98;
 };
 
+/// One fused estimate mid-stream: the attitude and whether the
+/// accelerometer bootstrap has happened.
+struct fusion_state {
+    euler_angles attitude{};
+    bool initialized = false;
+};
+
 class complementary_filter {
 public:
     explicit complementary_filter(const fusion_config& config = {});
 
     /// Advance one step.  accel in g (gravity included), gyro in rad/s.
     /// Returns the fused Euler angles after this step.
-    euler_angles update(const vec3& accel_g, const vec3& gyro_rad_s);
+    euler_angles update(const vec3& accel_g, const vec3& gyro_rad_s) {
+        return step(state_, accel_g, gyro_rad_s);
+    }
+    /// The update formula on an external estimate, with this filter's
+    /// config: what update() runs, for callers that keep many estimates in
+    /// flat arrays (core::detector_table).
+    euler_angles step(fusion_state& state, const vec3& accel_g, const vec3& gyro_rad_s) const;
 
     /// Current estimate without advancing.
-    euler_angles current() const { return state_; }
-    /// Whether the accelerometer bootstrap has happened (checkpointing).
-    bool initialized() const { return initialized_; }
-    /// Install a previously captured estimate (checkpoint restore).
-    void restore(const euler_angles& state, bool initialized) {
-        state_ = state;
-        initialized_ = initialized;
-    }
-    void reset();
+    euler_angles current() const { return state_.attitude; }
+    void reset() { state_ = {}; }
 
     /// Gravity-only attitude from one accelerometer sample (the
     /// accelerometer path of the filter); exposed for tests.
@@ -52,8 +58,7 @@ public:
 
 private:
     fusion_config config_;
-    euler_angles state_;
-    bool initialized_ = false;
+    fusion_state state_;
 };
 
 }  // namespace fallsense::dsp

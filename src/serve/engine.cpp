@@ -26,6 +26,7 @@ std::optional<drop_policy> parse_drop_policy(const std::string& text) {
 }
 
 std::optional<std::string> engine_config::validate() const {
+    if (auto error = detector.validate()) return error;
     if (queue_capacity == 0) return "engine queue_capacity must be positive";
     if (samples_per_tick == 0) return "engine samples_per_tick must be positive";
     if (drain_watermark > queue_capacity) {
@@ -47,50 +48,52 @@ std::size_t engine_config::effective_watermark() const {
     return drain_watermark > 0 ? drain_watermark : queue_capacity / 2;
 }
 
-struct session_engine::session_slot {
-    session_slot(const core::detector_config& detector, std::size_t base_rate)
-        : state(detector), drain_rate(base_rate) {}
-
-    core::detector_state state;
-    std::deque<data::raw_sample> queue;
-    session_stats stats;
-    std::size_t drain_rate;  ///< samples dequeued per tick (adaptive)
-};
-
 session_engine::session_engine(const engine_config& config, batch_scorer& scorer)
     : config_(config),
       scorer_(&scorer),
-      window_elems_(config.detector.window_samples * core::k_feature_channels) {
-    if (const auto error = config_.validate()) throw std::invalid_argument(*error);
+      detectors_([&] {
+          if (const auto error = config.validate()) throw std::invalid_argument(*error);
+          return config.detector;
+      }()),
+      window_elems_(detectors_.window_elems()),
+      queue_(config.queue_capacity) {}
+
+std::size_t session_engine::slot_of(session_id id) const {
+    FS_ARG_CHECK(id < slots_.size() && slots_[id] != k_evicted, "unknown or evicted session id");
+    return slots_[id];
 }
 
-session_engine::~session_engine() = default;
-
-session_engine::session_slot& session_engine::slot(session_id id) {
-    FS_ARG_CHECK(id < sessions_.size() && sessions_[id] != nullptr,
-                 "unknown or evicted session id");
-    return *sessions_[id];
-}
-
-const session_engine::session_slot& session_engine::slot(session_id id) const {
-    FS_ARG_CHECK(id < sessions_.size() && sessions_[id] != nullptr,
-                 "unknown or evicted session id");
-    return *sessions_[id];
+std::size_t session_engine::open_slot() {
+    const std::size_t slot = detectors_.acquire();
+    if (slot == stats_.size()) {
+        queue_.grow();
+        queue_head_.push_back(0);
+        queue_size_.push_back(0);
+        drain_rate_.push_back(config_.samples_per_tick);
+        stats_.emplace_back();
+    } else {
+        // Reused storage: everything but the stale queue contents, which
+        // no read reaches past queue_size_.
+        queue_head_[slot] = 0;
+        queue_size_[slot] = 0;
+        drain_rate_[slot] = config_.samples_per_tick;
+        stats_[slot] = {};
+    }
+    return slot;
 }
 
 session_id session_engine::create_session() {
-    sessions_.push_back(
-        std::make_unique<session_slot>(config_.detector, config_.samples_per_tick));
+    slots_.push_back(static_cast<std::uint32_t>(open_slot()));
     ++live_count_;
     ++totals_.sessions_created;
     obs::add_counter("serve/sessions_created");
     obs::set_gauge("serve/sessions_live", static_cast<double>(live_count_));
-    return static_cast<session_id>(sessions_.size() - 1);
+    return static_cast<session_id>(slots_.size() - 1);
 }
 
 void session_engine::evict_session(session_id id) {
-    slot(id);  // validates
-    sessions_[id].reset();
+    detectors_.release(slot_of(id));
+    slots_[id] = k_evicted;
     --live_count_;
     ++totals_.sessions_evicted;
     obs::add_counter("serve/sessions_evicted");
@@ -98,7 +101,7 @@ void session_engine::evict_session(session_id id) {
 }
 
 bool session_engine::is_live(session_id id) const {
-    return id < sessions_.size() && sessions_[id] != nullptr;
+    return id < slots_.size() && slots_[id] != k_evicted;
 }
 
 bool sample_is_finite(const data::raw_sample& sample) {
@@ -112,27 +115,35 @@ bool sample_is_finite(const data::raw_sample& sample) {
 }
 
 bool session_engine::feed(session_id id, const data::raw_sample& sample) {
-    session_slot& s = slot(id);
+    const std::size_t slot = slot_of(id);
+    session_stats& stats = stats_[slot];
     if (!sample_is_finite(sample)) {
-        ++s.stats.nonfinite;
+        ++stats.nonfinite;
         ++totals_.nonfinite;
         obs::add_counter("serve/samples_nonfinite");
         return false;
     }
-    if (s.queue.size() >= config_.queue_capacity) {
+    const std::size_t capacity = config_.queue_capacity;
+    std::size_t& head = queue_head_[slot];
+    std::size_t& size = queue_size_[slot];
+    if (size == capacity) {
         if (config_.policy == drop_policy::reject_newest) {
-            ++s.stats.rejected;
+            ++stats.rejected;
             ++totals_.rejected;
             obs::add_counter("serve/samples_rejected");
             return false;
         }
-        s.queue.pop_front();
-        ++s.stats.dropped;
+        head = head + 1 == capacity ? 0 : head + 1;  // the oldest makes room
+        --size;
+        ++stats.dropped;
         ++totals_.dropped;
         obs::add_counter("serve/samples_dropped");
     }
-    s.queue.push_back(sample);
-    ++s.stats.accepted;
+    std::size_t tail = head + size;
+    if (tail >= capacity) tail -= capacity;
+    queue_.row(slot)[tail] = sample;
+    ++size;
+    ++stats.accepted;
     ++totals_.accepted;
     obs::add_counter("serve/samples_in");
     return true;
@@ -144,34 +155,43 @@ std::size_t session_engine::tick_ingest() {
     tick_ingested_ = 0;
     const bool adaptive = config_.adaptive_drain();
     const std::size_t watermark = config_.effective_watermark();
+    const std::size_t capacity = config_.queue_capacity;
     // Phase A — ingest, serially in ascending session id.  Each due window
     // is assembled once, straight into its batch row, so the batch order is
     // the canonical one: ascending session, chronological within a session.
-    for (std::size_t id = 0; id < sessions_.size(); ++id) {
-        if (!sessions_[id]) continue;
-        session_slot& s = *sessions_[id];
+    for (std::size_t id = 0; id < slots_.size(); ++id) {
+        const std::size_t slot = slots_[id];
+        if (slot == k_evicted) continue;
+        std::size_t& size = queue_size_[slot];
+        std::size_t& rate = drain_rate_[slot];
         if (adaptive) {
             // Pure function of the queue depth at tick start: double
             // toward the max while backlogged, halve back once drained.
-            if (s.queue.size() > watermark) {
-                s.drain_rate = std::min(s.drain_rate * 2, config_.max_samples_per_tick);
+            if (size > watermark) {
+                rate = std::min(rate * 2, config_.max_samples_per_tick);
             } else {
-                s.drain_rate = std::max(s.drain_rate / 2, config_.samples_per_tick);
+                rate = std::max(rate / 2, config_.samples_per_tick);
             }
         }
-        for (std::size_t k = 0; k < s.drain_rate && !s.queue.empty(); ++k) {
-            const data::raw_sample sample = s.queue.front();
-            s.queue.pop_front();
-            ++s.stats.ingested;
-            ++tick_ingested_;
-            if (!s.state.ingest(sample)) continue;
+        const std::size_t n = std::min(rate, size);
+        if (n == 0) continue;
+        std::size_t& head = queue_head_[slot];
+        const data::raw_sample* ring = queue_.row(slot);
+        for (std::size_t k = 0; k < n; ++k) {
+            const data::raw_sample& sample = ring[head];
+            head = head + 1 == capacity ? 0 : head + 1;
+            if (!detectors_.ingest(slot, sample)) continue;
             const std::size_t row = due_.size() * window_elems_;
             if (batch_.size() < row + window_elems_) batch_.resize(row + window_elems_);
-            s.state.assemble_window({batch_.data() + row, window_elems_});
-            due_.push_back({static_cast<session_id>(id), s.state.samples_seen() - 1});
+            detectors_.assemble_window(slot, {batch_.data() + row, window_elems_});
+            due_.push_back({static_cast<session_id>(id), detectors_.samples_seen(slot) - 1});
         }
+        size -= n;
+        stats_[slot].ingested += n;
+        tick_ingested_ += n;
     }
     totals_.ingested += tick_ingested_;
+    if (tick_ingested_ > 0) obs::add_counter("stream/samples", tick_ingested_);
     return due_.size();
 }
 
@@ -191,14 +211,15 @@ tick_result session_engine::tick_apply(std::span<const float> scores) {
     // canonical trigger and debounce order.
     for (std::size_t i = 0; i < due_.size(); ++i) {
         const due_window& w = due_[i];
-        session_slot& s = *sessions_[w.session];
-        ++s.stats.windows_scored;
-        if (const auto d = s.state.apply_score(scores[i])) {
+        const std::size_t slot = slots_[w.session];
+        session_stats& stats = stats_[slot];
+        ++stats.windows_scored;
+        if (const auto d = detectors_.apply_score(slot, scores[i])) {
             // apply_score stamps the detection with the CURRENT tick; when
             // the drain rate is > 1 ingestion has moved past the scoring
             // tick, so use the recorded one.
             result.triggers.push_back({w.session, w.tick, d->probability});
-            ++s.stats.triggers;
+            ++stats.triggers;
             ++totals_.triggers;
             obs::add_counter("serve/triggers");
         }
@@ -229,11 +250,17 @@ tick_result session_engine::tick() {
 }
 
 void session_engine::capture_session(session_id id, session_checkpoint& out) const {
-    const session_slot& s = slot(id);
-    out.stats = s.stats;
-    out.drain_rate = s.drain_rate;
-    out.queue.assign(s.queue.begin(), s.queue.end());
-    s.state.capture(out.detector);
+    const std::size_t slot = slot_of(id);
+    out.stats = stats_[slot];
+    out.drain_rate = drain_rate_[slot];
+    const std::size_t capacity = config_.queue_capacity;
+    const data::raw_sample* ring = queue_.row(slot);
+    out.queue.resize(queue_size_[slot]);
+    for (std::size_t k = 0, at = queue_head_[slot]; k < out.queue.size(); ++k) {
+        out.queue[k] = ring[at];
+        at = at + 1 == capacity ? 0 : at + 1;
+    }
+    detectors_.capture(slot, out.detector);
 }
 
 session_id session_engine::restore_session(const session_checkpoint& cp) {
@@ -243,24 +270,34 @@ session_id session_engine::restore_session(const session_checkpoint& cp) {
     const std::size_t max_rate = config_.adaptive_drain() ? config_.max_samples_per_tick : base;
     FS_ARG_CHECK(cp.drain_rate >= base && cp.drain_rate <= max_rate,
                  "session checkpoint drain rate is outside the configured range");
-    auto slot_ptr = std::make_unique<session_slot>(config_.detector, config_.samples_per_tick);
-    slot_ptr->stats = cp.stats;
-    slot_ptr->drain_rate = static_cast<std::size_t>(cp.drain_rate);
-    slot_ptr->queue.assign(cp.queue.begin(), cp.queue.end());
-    slot_ptr->state.restore(cp.detector);
-    sessions_.push_back(std::move(slot_ptr));
+    const std::size_t slot = open_slot();
+    try {
+        detectors_.restore(slot, cp.detector);
+    } catch (...) {
+        detectors_.release(slot);
+        throw;
+    }
+    stats_[slot] = cp.stats;
+    drain_rate_[slot] = static_cast<std::size_t>(cp.drain_rate);
+    std::copy(cp.queue.begin(), cp.queue.end(), queue_.row(slot));
+    queue_size_[slot] = cp.queue.size();
+    slots_.push_back(static_cast<std::uint32_t>(slot));
     ++live_count_;
-    return static_cast<session_id>(sessions_.size() - 1);
+    return static_cast<session_id>(slots_.size() - 1);
 }
 
-void session_engine::restore_evicted_slot() { sessions_.push_back(nullptr); }
+void session_engine::restore_evicted_slot() { slots_.push_back(k_evicted); }
 
-std::size_t session_engine::queue_depth(session_id id) const { return slot(id).queue.size(); }
+std::size_t session_engine::queue_depth(session_id id) const {
+    return queue_size_[slot_of(id)];
+}
 
-std::size_t session_engine::drain_rate(session_id id) const { return slot(id).drain_rate; }
+std::size_t session_engine::drain_rate(session_id id) const { return drain_rate_[slot_of(id)]; }
 
-float session_engine::last_score(session_id id) const { return slot(id).state.last_score(); }
+float session_engine::last_score(session_id id) const {
+    return detectors_.last_score(slot_of(id));
+}
 
-const session_stats& session_engine::stats(session_id id) const { return slot(id).stats; }
+const session_stats& session_engine::stats(session_id id) const { return stats_[slot_of(id)]; }
 
 }  // namespace fallsense::serve

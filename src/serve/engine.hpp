@@ -1,11 +1,15 @@
 // Fleet-scale multi-session scoring engine.
 //
 // `session_engine` hosts N independent IMU streams in one process.  Each
-// session owns a bounded input queue and a core::detector_state (ring
-// buffer, streaming filters, sensor-fusion attitude, debounce run) — the
-// same per-stream state the single-stream streaming_detector wraps, so a
-// hosted session is behaviorally identical to a dedicated detector fed the
-// same accepted samples.
+// session is one slot of the engine's core::detector_table (ring buffer,
+// streaming filter delay lines, sensor-fusion attitude, debounce run) —
+// the same table the single-stream streaming_detector runs with one slot,
+// so a hosted session is behaviorally identical to a dedicated detector
+// fed the same accepted samples.  Per slot the engine adds a bounded input
+// queue (a fixed ring of `queue_capacity` samples in one slab), its
+// lifetime counters and its drain rate.  Session ids are dense and never
+// reused; an id -> slot index maps them to slots, and a slot freed by
+// eviction is reused by the next create_session.
 //
 // A `tick()` advances every session by up to its drain rate in queued
 // samples, assembles ALL windows that became due across sessions into one
@@ -15,7 +19,8 @@
 //
 //   A. ingest — serial in ascending session id; each due window is
 //      assembled once, straight into the next row of the engine's batch,
-//      so rows run in ascending session, chronological within a session;
+//      so rows run in ascending session, chronological within a session
+//      (`stream/samples` is counted once per pass, with its sample count);
 //   B. one scorer call — every scorer implementation guarantees
 //      probability i depends only on window i;
 //   C. score application — serial in batch order, so the trigger list and
@@ -44,8 +49,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -53,6 +56,7 @@
 
 #include "core/pipeline.hpp"
 #include "serve/batch_scorer.hpp"
+#include "util/slab.hpp"
 
 namespace fallsense::serve {
 
@@ -156,9 +160,8 @@ public:
     /// `scorer` is borrowed and must outlive the engine; the engine calls
     /// it serially (one batch per tick).
     session_engine(const engine_config& config, batch_scorer& scorer);
-    ~session_engine();  ///< out of line: session_slot is incomplete here
 
-    /// Admit a new session (ids are never reused).
+    /// Admit a new session (ids are never reused; slot storage is).
     session_id create_session();
     /// Remove a session; its queue and state are discarded.  Throws for
     /// unknown/already-evicted ids.
@@ -216,30 +219,41 @@ public:
     std::size_t drain_rate(session_id id) const;
     /// Session-local score at its last scoring tick (NaN before the first).
     float last_score(session_id id) const;
+    /// Valid until the next create_session / restore_session.
     const session_stats& stats(session_id id) const;
     const engine_stats& totals() const { return totals_; }
     const engine_config& config() const { return config_; }
     batch_scorer& scorer() { return *scorer_; }
 
 private:
-    struct session_slot;
+    static constexpr std::uint32_t k_evicted = UINT32_MAX;
 
-    session_slot& slot(session_id id);
-    const session_slot& slot(session_id id) const;
+    /// The live session's slot; throws for unknown or evicted ids.
+    std::size_t slot_of(session_id id) const;
+    /// A fresh slot from the detector table, with the engine's per-slot
+    /// state (queue, counters, drain rate) grown or reset to match.
+    std::size_t open_slot();
 
     engine_config config_;
     batch_scorer* scorer_;
+    core::detector_table detectors_;
     std::size_t window_elems_ = 0;
-    std::vector<std::unique_ptr<session_slot>> sessions_;  ///< index == id; null when evicted
+    std::vector<std::uint32_t> slots_;  ///< index == id; k_evicted once evicted
     std::size_t live_count_ = 0;
     engine_stats totals_;
+    // Per-slot slabs beside the detector table's, index == slot.
+    util::slab<data::raw_sample> queue_;   ///< per slot: fixed ring of queue_capacity
+    std::vector<std::size_t> queue_head_;  ///< ring index of the oldest queued sample
+    std::vector<std::size_t> queue_size_;
+    std::vector<std::size_t> drain_rate_;  ///< samples dequeued per tick (adaptive)
+    std::vector<session_stats> stats_;
     /// One window assembled by the last tick_ingest, in batch order.
     struct due_window {
         session_id session;
         std::size_t tick;  ///< session-local tick the window was scored at
     };
     // Tick scratch (reused across ticks so the steady state allocates
-    // nothing once queues and batches have reached their high-water marks).
+    // nothing once batches have reached their high-water marks).
     std::vector<float> batch_;  ///< row-major [due x window_elems], never shrinks
     std::vector<due_window> due_;
     std::vector<float> scores_;

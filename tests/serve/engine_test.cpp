@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "data/synthesizer.hpp"
+#include "serve/fleet.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fallsense::serve {
@@ -324,6 +325,38 @@ TEST(SessionEngineTest, ConfigValidation) {
     ASSERT_NE(bad.validate(), std::nullopt);
     EXPECT_NE(bad.validate()->find("max_samples_per_tick"), std::string::npos);
     EXPECT_THROW(session_engine(bad, scorer), std::invalid_argument);
+
+    // The detector config is validated with the engine's, so a bad one is
+    // refused at construction with a plain message, not at the first
+    // create_session.
+    const auto detector_error = [](void (*spoil)(core::detector_config&), const char* field) {
+        engine_config bad_detector = make_config();
+        spoil(bad_detector.detector);
+        const auto error = bad_detector.validate();
+        ASSERT_NE(error, std::nullopt) << field;
+        EXPECT_NE(error->find(field), std::string::npos) << *error;
+        callback_batch_scorer inner(freefall_scorer);
+        EXPECT_THROW(session_engine(bad_detector, inner), std::invalid_argument) << field;
+        EXPECT_THROW(fleet_router(fleet_config{.engine = bad_detector},
+                                  std::make_unique<callback_batch_scorer>(freefall_scorer)),
+                     std::invalid_argument)
+            << field;
+    };
+    detector_error([](core::detector_config& d) { d.window_samples = 0; }, "window_samples");
+    detector_error([](core::detector_config& d) { d.overlap_fraction = 1.0; }, "overlap");
+    detector_error([](core::detector_config& d) { d.overlap_fraction = -0.1; }, "overlap");
+    detector_error([](core::detector_config& d) { d.threshold = 1.5; }, "threshold");
+    detector_error([](core::detector_config& d) { d.threshold = -0.01; }, "threshold");
+    detector_error([](core::detector_config& d) { d.threshold = std::nan(""); }, "threshold");
+    detector_error([](core::detector_config& d) { d.preprocess.filter_order = 3; }, "order");
+    detector_error([](core::detector_config& d) { d.preprocess.filter_order = 0; }, "order");
+    detector_error([](core::detector_config& d) { d.preprocess.cutoff_hz = 0.0; }, "cutoff");
+    detector_error([](core::detector_config& d) { d.preprocess.cutoff_hz = 50.0; }, "cutoff");
+    detector_error([](core::detector_config& d) { d.sample_rate_hz = 0.0; }, "sample_rate");
+    detector_error([](core::detector_config& d) { d.preprocess.fusion.gyro_weight = 1.2; },
+                   "gyro_weight");
+    detector_error([](core::detector_config& d) { d.preprocess.fusion.gyro_weight = -0.5; },
+                   "gyro_weight");
 
     const engine_config good = make_config();
     EXPECT_EQ(good.validate(), std::nullopt);
