@@ -140,8 +140,14 @@ void detector_table::assemble_window(std::size_t slot, std::span<float> out) con
 }
 
 std::optional<detection> detector_table::apply_score(std::size_t slot, float score) {
-    last_score_[slot] = score;
     std::uint64_t& run = positive_run_[slot];
+    if (!std::isfinite(score)) {
+        // A scorer fault: no trigger, and the last score keeps meaning
+        // "the last real score" (NaN stays reserved for "never scored").
+        run = 0;
+        return std::nullopt;
+    }
+    last_score_[slot] = score;
     if (score >= config_.threshold) {
         ++run;
         if (run >= std::max<std::size_t>(config_.consecutive_required, 1)) {
@@ -211,6 +217,7 @@ std::optional<detection> streaming_detector::push(const data::raw_sample& sample
     } else {
         score = scorer_(window_);
     }
+    if (!std::isfinite(score)) ++score_faults_;
     return table_.apply_score(k_slot, score);
 }
 

@@ -119,10 +119,12 @@ public:
 
     /// Record the score of the window due at this tick and apply the
     /// threshold + consecutive-window debouncing.  Returns the detection
-    /// when the trigger fires.
+    /// when the trigger fires.  A NaN or infinite score (a scorer fault)
+    /// fires nothing, restarts the debounce run and is not recorded as
+    /// the last score.
     std::optional<detection> apply_score(std::size_t slot, float score);
 
-    /// Score recorded at the slot's last scoring tick (NaN before the first).
+    /// Last finite score recorded for the slot (NaN before the first).
     float last_score(std::size_t slot) const { return last_score_[slot]; }
     std::uint64_t samples_seen(std::size_t slot) const { return tick_[slot]; }
     /// Floats per window: window_samples * 9.
@@ -161,9 +163,11 @@ public:
     /// this tick and crossed the threshold.
     std::optional<detection> push(const data::raw_sample& sample);
 
-    /// Score emitted at the last scoring tick (NaN before the first one).
+    /// Last finite score emitted (NaN before the first one).
     float last_score() const { return table_.last_score(k_slot); }
     std::size_t samples_seen() const { return table_.samples_seen(k_slot); }
+    /// Windows the scorer returned NaN or infinite for, since construction.
+    std::uint64_t score_faults() const { return score_faults_; }
     void reset() { table_.reset(k_slot); }
 
 private:
@@ -171,6 +175,7 @@ private:
     detector_table table_;
     segment_scorer scorer_;
     std::vector<float> window_;  ///< chronological window handed to the scorer
+    std::uint64_t score_faults_ = 0;
 };
 
 }  // namespace fallsense::core

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <new>
 #include <sstream>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -55,25 +57,39 @@ session_engine::session_engine(const engine_config& config, batch_scorer& scorer
           if (const auto error = config.validate()) throw std::invalid_argument(*error);
           return config.detector;
       }()),
-      window_elems_(detectors_.window_elems()),
-      queue_(config.queue_capacity) {}
+      window_elems_(detectors_.window_elems()) {}
 
 std::size_t session_engine::slot_of(session_id id) const {
     FS_ARG_CHECK(id < slots_.size() && slots_[id] != k_evicted, "unknown or evicted session id");
     return slots_[id];
 }
 
+const data::raw_sample& session_engine::queue_entry(std::size_t slot, std::size_t entry) const {
+    const std::byte* block = queue_blocks_[slot / k_queue_block_slots].get();
+    return std::launder(reinterpret_cast<const data::raw_sample*>(
+        block))[entry * k_queue_block_slots + slot % k_queue_block_slots];
+}
+
+data::raw_sample& session_engine::queue_entry(std::size_t slot, std::size_t entry) {
+    return const_cast<data::raw_sample&>(std::as_const(*this).queue_entry(slot, entry));
+}
+
 std::size_t session_engine::open_slot() {
     const std::size_t slot = detectors_.acquire();
     if (slot == stats_.size()) {
-        queue_.grow();
+        if (slot % k_queue_block_slots == 0) {
+            // Left uninitialised: only entries a queue actually reaches are
+            // ever written, so only those pages become resident.
+            queue_blocks_.push_back(std::make_unique_for_overwrite<std::byte[]>(
+                k_queue_block_slots * config_.queue_capacity * sizeof(data::raw_sample)));
+        }
         queue_head_.push_back(0);
         queue_size_.push_back(0);
         drain_rate_.push_back(config_.samples_per_tick);
         stats_.emplace_back();
     } else {
-        // Reused storage: everything but the stale queue contents, which
-        // no read reaches past queue_size_.
+        // Reused storage: everything but the stale queue entries, which no
+        // read reaches past queue_size_.
         queue_head_[slot] = 0;
         queue_size_[slot] = 0;
         drain_rate_[slot] = config_.samples_per_tick;
@@ -141,7 +157,7 @@ bool session_engine::feed(session_id id, const data::raw_sample& sample) {
     }
     std::size_t tail = head + size;
     if (tail >= capacity) tail -= capacity;
-    queue_.row(slot)[tail] = sample;
+    queue_entry(slot, tail) = sample;
     ++size;
     ++stats.accepted;
     ++totals_.accepted;
@@ -176,9 +192,8 @@ std::size_t session_engine::tick_ingest() {
         const std::size_t n = std::min(rate, size);
         if (n == 0) continue;
         std::size_t& head = queue_head_[slot];
-        const data::raw_sample* ring = queue_.row(slot);
         for (std::size_t k = 0; k < n; ++k) {
-            const data::raw_sample& sample = ring[head];
+            const data::raw_sample& sample = queue_entry(slot, head);
             head = head + 1 == capacity ? 0 : head + 1;
             if (!detectors_.ingest(slot, sample)) continue;
             const std::size_t row = due_.size() * window_elems_;
@@ -187,6 +202,7 @@ std::size_t session_engine::tick_ingest() {
             due_.push_back({static_cast<session_id>(id), detectors_.samples_seen(slot) - 1});
         }
         size -= n;
+        if (size == 0) head = 0;  // a drained queue restarts at entry 0
         stats_[slot].ingested += n;
         tick_ingested_ += n;
     }
@@ -214,6 +230,11 @@ tick_result session_engine::tick_apply(std::span<const float> scores) {
         const std::size_t slot = slots_[w.session];
         session_stats& stats = stats_[slot];
         ++stats.windows_scored;
+        if (!std::isfinite(scores[i])) {
+            ++stats.score_faults;
+            ++totals_.score_faults;
+            obs::add_counter("serve/score_faults");
+        }
         if (const auto d = detectors_.apply_score(slot, scores[i])) {
             // apply_score stamps the detection with the CURRENT tick; when
             // the drain rate is > 1 ingestion has moved past the scoring
@@ -254,10 +275,9 @@ void session_engine::capture_session(session_id id, session_checkpoint& out) con
     out.stats = stats_[slot];
     out.drain_rate = drain_rate_[slot];
     const std::size_t capacity = config_.queue_capacity;
-    const data::raw_sample* ring = queue_.row(slot);
     out.queue.resize(queue_size_[slot]);
     for (std::size_t k = 0, at = queue_head_[slot]; k < out.queue.size(); ++k) {
-        out.queue[k] = ring[at];
+        out.queue[k] = queue_entry(slot, at);
         at = at + 1 == capacity ? 0 : at + 1;
     }
     detectors_.capture(slot, out.detector);
@@ -279,7 +299,7 @@ session_id session_engine::restore_session(const session_checkpoint& cp) {
     }
     stats_[slot] = cp.stats;
     drain_rate_[slot] = static_cast<std::size_t>(cp.drain_rate);
-    std::copy(cp.queue.begin(), cp.queue.end(), queue_.row(slot));
+    for (std::size_t k = 0; k < cp.queue.size(); ++k) queue_entry(slot, k) = cp.queue[k];
     queue_size_[slot] = cp.queue.size();
     slots_.push_back(static_cast<std::uint32_t>(slot));
     ++live_count_;

@@ -6,10 +6,18 @@
 // the same table the single-stream streaming_detector runs with one slot,
 // so a hosted session is behaviorally identical to a dedicated detector
 // fed the same accepted samples.  Per slot the engine adds a bounded input
-// queue (a fixed ring of `queue_capacity` samples in one slab), its
-// lifetime counters and its drain rate.  Session ids are dense and never
-// reused; an id -> slot index maps them to slots, and a slot freed by
-// eviction is reused by the next create_session.
+// queue (a fixed ring of `queue_capacity` samples), its lifetime counters
+// and its drain rate.  Session ids are dense and never reused; an id ->
+// slot index maps them to slots, and a slot freed by eviction is reused by
+// the next create_session.
+//
+// The queue rings are the one per-slot row that is mostly idle: a session
+// drained every tick never holds more than a sample or two.  So they live
+// in blocks of 32 slots stored entry-major (entry e of all 32 rings is
+// contiguous), allocated without zero-filling, and a queue that drains to
+// empty restarts at entry 0.  Such a session only ever writes entry 0, in
+// the first 768 bytes of its block, and the rest of the block never
+// becomes resident.
 //
 // A `tick()` advances every session by up to its drain rate in queued
 // samples, assembles ALL windows that became due across sessions into one
@@ -48,7 +56,9 @@
 // the determinism contract is unchanged.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -56,7 +66,6 @@
 
 #include "core/pipeline.hpp"
 #include "serve/batch_scorer.hpp"
-#include "util/slab.hpp"
 
 namespace fallsense::serve {
 
@@ -109,6 +118,11 @@ struct session_stats {
     /// restores and rebalances keep it; the v1 snapshot encoding does not
     /// carry it (docs/checkpoint.md), so a decoded session restarts at 0.
     std::uint64_t nonfinite = 0;
+    /// Windows whose score came back NaN or infinite: no trigger, the
+    /// debounce run restarts and the last score keeps its previous value.
+    /// Like `nonfinite`, in-memory restores keep it and the v1 snapshot
+    /// encoding does not carry it.
+    std::uint64_t score_faults = 0;
 };
 
 /// Engine-wide totals (sums over all sessions ever hosted).
@@ -123,6 +137,7 @@ struct engine_stats {
     std::uint64_t sessions_created = 0;
     std::uint64_t sessions_evicted = 0;
     std::uint64_t nonfinite = 0;  ///< samples refused for a non-finite component
+    std::uint64_t score_faults = 0;  ///< windows scored NaN or infinite
 };
 
 /// True when every accel and gyro component of `sample` is finite — the
@@ -189,7 +204,9 @@ public:
     std::span<const float> pending_windows() const;
     std::size_t window_elems() const { return window_elems_; }
     /// Phase C with externally computed scores (`scores.size()` must equal
-    /// the count returned by the preceding `tick_ingest`).
+    /// the count returned by the preceding `tick_ingest`).  A non-finite
+    /// score is a scorer fault: counted in `score_faults` and
+    /// `serve/score_faults`, it fires nothing and restarts the debounce run.
     tick_result tick_apply(std::span<const float> scores);
 
     /// Point the engine's own `tick()` at a different scorer (the fleet
@@ -217,7 +234,7 @@ public:
     std::size_t queue_depth(session_id id) const;
     /// Current adaptive drain rate (== samples_per_tick when fixed).
     std::size_t drain_rate(session_id id) const;
-    /// Session-local score at its last scoring tick (NaN before the first).
+    /// Session-local last finite score (NaN before the first).
     float last_score(session_id id) const;
     /// Valid until the next create_session / restore_session.
     const session_stats& stats(session_id id) const;
@@ -231,8 +248,12 @@ private:
     /// The live session's slot; throws for unknown or evicted ids.
     std::size_t slot_of(session_id id) const;
     /// A fresh slot from the detector table, with the engine's per-slot
-    /// state (queue, counters, drain rate) grown or reset to match.
+    /// state (queue, counters, drain rate) grown or reset to match.  The
+    /// only place queue blocks are allocated.
     std::size_t open_slot();
+    /// Entry `entry` of `slot`'s queue ring.
+    data::raw_sample& queue_entry(std::size_t slot, std::size_t entry);
+    const data::raw_sample& queue_entry(std::size_t slot, std::size_t entry) const;
 
     engine_config config_;
     batch_scorer* scorer_;
@@ -241,9 +262,12 @@ private:
     std::vector<std::uint32_t> slots_;  ///< index == id; k_evicted once evicted
     std::size_t live_count_ = 0;
     engine_stats totals_;
-    // Per-slot slabs beside the detector table's, index == slot.
-    util::slab<data::raw_sample> queue_;   ///< per slot: fixed ring of queue_capacity
-    std::vector<std::size_t> queue_head_;  ///< ring index of the oldest queued sample
+    static constexpr std::size_t k_queue_block_slots = 32;
+    /// Queue rings of k_queue_block_slots slots per block, entry-major:
+    /// [queue_capacity][k_queue_block_slots] samples, never zero-filled.
+    std::vector<std::unique_ptr<std::byte[]>> queue_blocks_;
+    // Per-slot arrays beside the detector table's, index == slot.
+    std::vector<std::size_t> queue_head_;  ///< ring index of the oldest; 0 when empty
     std::vector<std::size_t> queue_size_;
     std::vector<std::size_t> drain_rate_;  ///< samples dequeued per tick (adaptive)
     std::vector<session_stats> stats_;

@@ -280,6 +280,7 @@ fleet_checkpoint fleet_router::snapshot() const {
         sum.windows_scored += sc.stats.windows_scored;
         sum.triggers += sc.stats.triggers;
         sum.nonfinite += sc.stats.nonfinite;
+        sum.score_faults += sc.stats.score_faults;
     }
     cp.retired.resize(shards_.size());
     for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -288,7 +289,7 @@ fleet_checkpoint fleet_router::snapshot() const {
         cp.retired[s] = {t.accepted - sum.accepted,       t.dropped - sum.dropped,
                          t.rejected - sum.rejected,       t.ingested - sum.ingested,
                          t.windows_scored - sum.windows_scored, t.triggers - sum.triggers,
-                         t.nonfinite - sum.nonfinite};
+                         t.nonfinite - sum.nonfinite,       t.score_faults - sum.score_faults};
     }
     return cp;
 }
@@ -336,6 +337,7 @@ void fleet_router::restore(const fleet_checkpoint& cp) {
             sum.windows_scored += next->stats.windows_scored;
             sum.triggers += next->stats.triggers;
             sum.nonfinite += next->stats.nonfinite;
+            sum.score_faults += next->stats.score_faults;
             ++next;
         } else {
             sh.engine.restore_evicted_slot();
@@ -364,6 +366,7 @@ void fleet_router::restore(const fleet_checkpoint& cp) {
             folded.windows_scored += r.windows_scored;
             folded.triggers += r.triggers;
             folded.nonfinite += r.nonfinite;
+            folded.score_faults += r.score_faults;
         }
     }
     for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -379,6 +382,7 @@ void fleet_router::restore(const fleet_checkpoint& cp) {
         t.windows_scored = live_sums[s].windows_scored + retired.windows_scored;
         t.triggers = live_sums[s].triggers + retired.triggers;
         t.nonfinite = live_sums[s].nonfinite + retired.nonfinite;
+        t.score_faults = live_sums[s].score_faults + retired.score_faults;
         t.ticks = cp.ticks;
         t.sessions_created = sh.local_to_global.size();
         t.sessions_evicted = evicted[s];
@@ -441,6 +445,7 @@ engine_stats fleet_router::totals() const {
         out.sessions_created += t.sessions_created;
         out.sessions_evicted += t.sessions_evicted;
         out.nonfinite += t.nonfinite;
+        out.score_faults += t.score_faults;
     }
     out.ticks = ticks_;
     return out;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "data/synthesizer.hpp"
 
@@ -213,6 +215,35 @@ TEST(StreamingDetectorTest, DefaultDebounceIsSingleWindow) {
     bool fired = false;
     for (const data::raw_sample& s : t.samples) fired |= det.push(s).has_value();
     EXPECT_TRUE(fired);
+}
+
+TEST(StreamingDetectorTest, NonFiniteScoreIsAFaultNotAScore) {
+    // Window 3 scores NaN and window 5 +inf; every other window is hot.
+    // A faulted window fires nothing and leaves last_score at the previous
+    // real score; with the default single-window debounce the next finite
+    // window fires again.
+    std::size_t calls = 0;
+    streaming_detector det(make_config(0.5), [&](std::span<const float>) {
+        ++calls;
+        if (calls == 3) return std::numeric_limits<float>::quiet_NaN();
+        if (calls == 5) return std::numeric_limits<float>::infinity();
+        return 0.5f + 0.01f * static_cast<float>(calls);
+    });
+    const data::trial t = make_trial(1, 23);
+    std::vector<std::size_t> fired_calls;
+    std::vector<float> last_scores;
+    for (const data::raw_sample& s : t.samples) {
+        const std::size_t before = calls;
+        if (det.push(s)) fired_calls.push_back(calls);
+        if (calls != before) last_scores.push_back(det.last_score());
+        if (calls == 7) break;
+    }
+    EXPECT_EQ(fired_calls, (std::vector<std::size_t>{1, 2, 4, 6, 7}));
+    ASSERT_EQ(last_scores.size(), 7u);
+    EXPECT_EQ(last_scores[2], last_scores[1]);
+    EXPECT_EQ(last_scores[4], last_scores[3]);
+    EXPECT_EQ(last_scores[6], 0.57f);
+    EXPECT_EQ(det.score_faults(), 2u);
 }
 
 TEST(StreamingDetectorTest, ConfigValidation) {

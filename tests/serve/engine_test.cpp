@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <deque>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -451,6 +454,389 @@ TEST(SessionEngineTest, AdaptiveDrainIsThreadCountInvariant) {
 
     EXPECT_EQ(serial, parallel);
     EXPECT_GT(std::get<2>(serial), 0u);
+}
+
+// --- queue layout: rings stored entry-major in 32-slot blocks, restarted
+//     at entry 0 whenever they drain.  40 sessions span two blocks, with
+//     slots 31 and 32 on either side of the boundary. ---
+
+constexpr std::size_t k_layout_sessions = 40;
+
+/// Order-sensitive scorer: an FNV-1a hash of the window's bits mapped to
+/// [0, 1), so a reordered, lost or stale sample changes the score.
+float checksum_scorer(std::span<const float> window) {
+    std::uint32_t h = 2166136261u;
+    for (const float v : window) {
+        std::uint32_t bits = 0;
+        std::memcpy(&bits, &v, sizeof bits);
+        h = (h ^ bits) * 16777619u;
+    }
+    return static_cast<float>(h >> 8) / 16777216.0f;
+}
+
+/// Sample k of stream `stream`; no two (stream, k) pairs share a sample.
+data::raw_sample numbered_sample(std::size_t stream, std::size_t k) {
+    const float a = static_cast<float>(stream) + 1e-3f * static_cast<float>(k);
+    data::raw_sample s;
+    s.accel = {a, 1.0f - a, 0.5f * a};
+    s.gyro = {2.0f * a, -a, 0.25f};
+    return s;
+}
+
+bool same_sample(const data::raw_sample& a, const data::raw_sample& b) {
+    return a.accel == b.accel && a.gyro == b.gyro;
+}
+
+using trigger_list = std::vector<std::pair<std::size_t, float>>;
+
+/// What one hosted session must do: a FIFO of queue_capacity samples under
+/// the engine's drop policy, in front of a dedicated streaming_detector.
+struct reference_session {
+    explicit reference_session(const engine_config& config)
+        : capacity(config.queue_capacity),
+          policy(config.policy),
+          detector(config.detector, checksum_scorer) {}
+
+    bool feed(const data::raw_sample& s) {
+        if (queue.size() == capacity) {
+            if (policy == drop_policy::reject_newest) return false;
+            queue.pop_front();
+        }
+        queue.push_back(s);
+        return true;
+    }
+    /// Ingest up to `n` queued samples, oldest first; returns the triggers.
+    trigger_list drain(std::size_t n) {
+        trigger_list fired;
+        for (; n > 0 && !queue.empty(); --n) {
+            if (const auto d = detector.push(queue.front())) {
+                fired.emplace_back(d->sample_index, d->probability);
+            }
+            queue.pop_front();
+        }
+        return fired;
+    }
+
+    std::size_t capacity;
+    drop_policy policy;
+    std::deque<data::raw_sample> queue;
+    core::streaming_detector detector;
+};
+
+engine_config layout_config() {
+    engine_config c = make_config(0.65);
+    c.queue_capacity = 4;
+    c.samples_per_tick = 2;
+    c.policy = drop_policy::drop_oldest;
+    return c;
+}
+
+/// Drives an engine and one reference per session with identical feeds
+/// and checks them against each other after every tick.
+struct layout_harness {
+    explicit layout_harness(const engine_config& config) : config(config), engine(config, scorer) {
+        for (std::size_t i = 0; i < k_layout_sessions; ++i) add_session();
+    }
+
+    void add_session() {
+        ids.push_back(engine.create_session());
+        refs.emplace_back(config);
+        cursors.push_back(0);
+    }
+    void feed(std::size_t i, std::size_t count) {
+        for (std::size_t k = 0; k < count; ++k) {
+            const data::raw_sample s = numbered_sample(i, cursors[i]++);
+            EXPECT_EQ(engine.feed(ids[i], s), refs[i].feed(s)) << "session " << i;
+        }
+    }
+    /// One tick of both; returns how many live queues ended it empty.
+    std::size_t tick() {
+        std::vector<trigger_list> got(ids.size());
+        for (const trigger_event& e : engine.tick().triggers) {
+            const auto at = std::find(ids.begin(), ids.end(), e.session);
+            EXPECT_NE(at, ids.end());
+            if (at == ids.end()) continue;
+            got[static_cast<std::size_t>(at - ids.begin())].emplace_back(e.sample_index,
+                                                                         e.probability);
+        }
+        std::size_t drained = 0;
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+            if (!engine.is_live(ids[i])) continue;
+            EXPECT_EQ(got[i], refs[i].drain(config.samples_per_tick)) << "session " << i;
+            expect_queue_matches(i);
+            const float want = refs[i].detector.last_score();
+            const float have = engine.last_score(ids[i]);
+            EXPECT_TRUE(have == want || (std::isnan(have) && std::isnan(want))) << "session " << i;
+            drained += engine.queue_depth(ids[i]) == 0;
+        }
+        return drained;
+    }
+    void expect_queue_matches(std::size_t i) {
+        session_checkpoint cp;
+        engine.capture_session(ids[i], cp);
+        ASSERT_EQ(cp.queue.size(), refs[i].queue.size()) << "session " << i;
+        EXPECT_EQ(engine.queue_depth(ids[i]), refs[i].queue.size()) << "session " << i;
+        for (std::size_t k = 0; k < cp.queue.size(); ++k) {
+            EXPECT_TRUE(same_sample(cp.queue[k], refs[i].queue[k]))
+                << "session " << i << " entry " << k;
+        }
+    }
+
+    engine_config config;
+    callback_batch_scorer scorer{checksum_scorer};
+    session_engine engine;
+    std::vector<session_id> ids;
+    std::deque<reference_session> refs;  ///< a deque: references never move
+    std::vector<std::size_t> cursors;
+};
+
+TEST(SessionEngineTest, DrainedQueuesRestartAndStayFifoAcrossBlocks) {
+    layout_harness h(layout_config());
+    // Light traffic: 0..3 samples per tick against a drain of 2, so every
+    // queue drains to empty (and restarts) many times, then refills.
+    std::size_t drained = 0;
+    for (std::size_t tick = 0; tick < 120; ++tick) {
+        for (std::size_t i = 0; i < k_layout_sessions; ++i) h.feed(i, (tick * 7 + i * 3) % 4);
+        drained += h.tick();
+    }
+    EXPECT_GT(drained, 120u * k_layout_sessions / 4);
+    EXPECT_EQ(h.engine.totals().dropped, 0u);
+    EXPECT_GT(h.engine.totals().triggers, 0u);
+    std::size_t queued = 0;
+    for (const session_id id : h.ids) queued += h.engine.queue_depth(id);
+    EXPECT_EQ(h.engine.totals().ingested + queued, h.engine.totals().accepted);
+}
+
+TEST(SessionEngineTest, FullQueuesWrapAfterRestart) {
+    for (const drop_policy policy : {drop_policy::drop_oldest, drop_policy::reject_newest}) {
+        SCOPED_TRACE(drop_policy_name(policy));
+        engine_config config = layout_config();
+        config.policy = policy;
+        layout_harness h(config);
+        // Warm up with a drain to empty (every queue back at entry 0), then
+        // overdrive: 5..7 samples per tick against a drain of 2 keeps each
+        // queue full, so drop_oldest walks its head round the ring.
+        for (std::size_t i = 0; i < k_layout_sessions; ++i) h.feed(i, 3);
+        h.tick();
+        EXPECT_EQ(h.tick(), k_layout_sessions);
+        for (std::size_t tick = 0; tick < 60; ++tick) {
+            for (std::size_t i = 0; i < k_layout_sessions; ++i) h.feed(i, 5 + (tick + i) % 3);
+            EXPECT_EQ(h.tick(), 0u);
+        }
+        // And back to light traffic: the queues drain and restart again.
+        for (std::size_t tick = 0; tick < 40; ++tick) {
+            for (std::size_t i = 0; i < k_layout_sessions; ++i) h.feed(i, (tick + i) % 2);
+            h.tick();
+        }
+        const engine_stats& t = h.engine.totals();
+        if (policy == drop_policy::drop_oldest) {
+            EXPECT_GT(t.dropped, 0u);
+            EXPECT_EQ(t.rejected, 0u);
+        } else {
+            EXPECT_GT(t.rejected, 0u);
+            EXPECT_EQ(t.dropped, 0u);
+        }
+        EXPECT_GT(t.triggers, 0u);
+    }
+}
+
+TEST(SessionEngineTest, RestoreOfWrappedQueuesContinuesBitIdentical) {
+    const engine_config config = layout_config();
+    layout_harness h(config);
+    // Drain once so every head restarts at 0, then overdrive: after a tick
+    // of 5..7 in against 2 out, each full queue's head has moved off entry 0
+    // and its contents run across the end of the ring.
+    for (std::size_t i = 0; i < k_layout_sessions; ++i) h.feed(i, 2);
+    EXPECT_EQ(h.tick(), k_layout_sessions);
+    for (std::size_t tick = 0; tick < 25; ++tick) {
+        for (std::size_t i = 0; i < k_layout_sessions; ++i) h.feed(i, 5 + (tick + i) % 3);
+        h.tick();
+    }
+    for (std::size_t i = 0; i < k_layout_sessions; ++i) h.feed(i, 3 + i % 2);
+    for (const session_id id : h.ids) ASSERT_EQ(h.engine.queue_depth(id), config.queue_capacity);
+    ASSERT_GT(h.engine.totals().dropped, 0u);
+
+    callback_batch_scorer scorer(checksum_scorer);
+    session_engine restored(config, scorer);
+    std::vector<session_id> restored_ids;
+    session_checkpoint cp;
+    for (const session_id id : h.ids) {
+        h.engine.capture_session(id, cp);
+        restored_ids.push_back(restored.restore_session(cp));
+    }
+
+    std::vector<std::size_t> cursors = h.cursors;
+    for (std::size_t tick = 0; tick < 80; ++tick) {
+        // Overdrive then light traffic, so restored queues both wrap again
+        // and drain to empty.
+        const std::size_t base = tick < 40 ? 3 : 0;
+        for (std::size_t i = 0; i < k_layout_sessions; ++i) {
+            for (std::size_t k = 0; k < base + (tick + i) % 2; ++k) {
+                const data::raw_sample s = numbered_sample(i, cursors[i]++);
+                ASSERT_TRUE(h.engine.feed(h.ids[i], s));
+                ASSERT_TRUE(restored.feed(restored_ids[i], s));
+            }
+        }
+        const tick_result want = h.engine.tick();
+        const tick_result got = restored.tick();
+        ASSERT_EQ(got.triggers.size(), want.triggers.size()) << "tick " << tick;
+        for (std::size_t k = 0; k < want.triggers.size(); ++k) {
+            EXPECT_EQ(got.triggers[k].session, want.triggers[k].session);
+            EXPECT_EQ(got.triggers[k].sample_index, want.triggers[k].sample_index);
+            EXPECT_EQ(got.triggers[k].probability, want.triggers[k].probability);
+        }
+        EXPECT_EQ(got.samples_ingested, want.samples_ingested);
+        EXPECT_EQ(got.windows_scored, want.windows_scored);
+    }
+    session_checkpoint a;
+    session_checkpoint b;
+    for (std::size_t i = 0; i < k_layout_sessions; ++i) {
+        h.engine.capture_session(h.ids[i], a);
+        restored.capture_session(restored_ids[i], b);
+        EXPECT_EQ(a.stats.ingested, b.stats.ingested);
+        EXPECT_EQ(a.stats.dropped, b.stats.dropped);
+        EXPECT_EQ(a.stats.triggers, b.stats.triggers);
+        EXPECT_EQ(a.drain_rate, b.drain_rate);
+        ASSERT_EQ(a.queue.size(), b.queue.size());
+        for (std::size_t k = 0; k < a.queue.size(); ++k) {
+            EXPECT_TRUE(same_sample(a.queue[k], b.queue[k]));
+        }
+        EXPECT_EQ(a.detector.ring, b.detector.ring);
+        EXPECT_EQ(a.detector.filter_state, b.detector.filter_state);
+        EXPECT_EQ(a.detector.tick, b.detector.tick);
+    }
+}
+
+TEST(SessionEngineTest, ReusedSlotNeverIngestsAnEvictedSessionsQueue) {
+    const engine_config config = layout_config();
+    layout_harness h(config);
+    for (std::size_t tick = 0; tick < 30; ++tick) {
+        for (std::size_t i = 0; i < k_layout_sessions; ++i) h.feed(i, 3 + (tick + i) % 3);
+        h.tick();
+    }
+    // Sessions 31 and 32 sit on either side of the block boundary and
+    // leave with full, wrapped queues; their slots go to two newcomers.
+    for (const std::size_t i : {std::size_t{31}, std::size_t{32}}) {
+        h.feed(i, 3);
+        ASSERT_EQ(h.engine.queue_depth(h.ids[i]), config.queue_capacity);
+        h.engine.evict_session(h.ids[i]);
+    }
+    h.add_session();
+    h.add_session();
+    for (const std::size_t i : {k_layout_sessions, k_layout_sessions + 1}) {
+        EXPECT_EQ(h.engine.queue_depth(h.ids[i]), 0u);
+    }
+    // A tick with nothing fed to the newcomers ingests nothing for them.
+    for (std::size_t i = 0; i < k_layout_sessions; ++i) {
+        if (h.engine.is_live(h.ids[i])) h.feed(i, 1);
+    }
+    h.tick();
+    for (const std::size_t i : {k_layout_sessions, k_layout_sessions + 1}) {
+        EXPECT_EQ(h.engine.stats(h.ids[i]).ingested, 0u);
+        EXPECT_TRUE(std::isnan(h.engine.last_score(h.ids[i])));
+    }
+    // From here on the newcomers match fresh references sample for sample.
+    for (std::size_t tick = 0; tick < 60; ++tick) {
+        for (std::size_t i = 0; i < h.ids.size(); ++i) {
+            if (h.engine.is_live(h.ids[i])) h.feed(i, (tick + i) % 4);
+        }
+        h.tick();
+    }
+    for (const std::size_t i : {k_layout_sessions, k_layout_sessions + 1}) {
+        EXPECT_EQ(h.engine.stats(h.ids[i]).ingested + h.engine.queue_depth(h.ids[i]),
+                  h.cursors[i]);
+        EXPECT_GT(h.engine.stats(h.ids[i]).windows_scored, 0u);
+    }
+}
+
+TEST(SessionEngineTest, NonFiniteScoreIsCountedAndRestartsTheDebounce) {
+    // Every window scores above threshold, so each session fires on every
+    // window once its debounce run is long enough.  Session 3's fourth
+    // window comes back NaN (or inf): that window fires nothing, the run
+    // restarts, the last score keeps its previous value, and the session
+    // fires again once `consecutive` finite windows have followed.
+    constexpr std::size_t n_sessions = 8;
+    constexpr session_id faulted = 3;
+    constexpr std::size_t faulted_window = 4;
+    const auto hot = [](std::span<const float> w) { return 0.7f + 0.25f * checksum_scorer(w); };
+
+    using tick_lists = std::vector<std::vector<std::size_t>>;
+    struct run {
+        tick_lists triggers = tick_lists(n_sessions);
+        float score_before_fault = 0.0f;  ///< session 3's last score, before the faulted tick
+        float score_after_fault = 0.0f;   ///< ... and after it
+        std::vector<session_stats> stats;
+        engine_stats totals;
+    };
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity()}) {
+        for (const std::size_t consecutive : {std::size_t{1}, std::size_t{2}}) {
+            SCOPED_TRACE(consecutive);
+            const auto stream = [&](bool fault) {
+                run r;
+                engine_config config = make_config(0.65);
+                config.detector.consecutive_required = consecutive;
+                callback_batch_scorer unused(hot);  // tick_apply takes the scores
+                session_engine engine(config, unused);
+                for (std::size_t i = 0; i < n_sessions; ++i) engine.create_session();
+                std::vector<float> scores;
+                std::size_t scoring_ticks = 0;
+                for (std::size_t k = 0; k < 120; ++k) {
+                    for (std::size_t i = 0; i < n_sessions; ++i) {
+                        engine.feed(static_cast<session_id>(i), numbered_sample(i, k));
+                    }
+                    const std::size_t due = engine.tick_ingest();
+                    const std::span<const float> rows = engine.pending_windows();
+                    scores.resize(due);
+                    for (std::size_t j = 0; j < due; ++j) {
+                        scores[j] = hot(rows.subspan(j * engine.window_elems(),
+                                                     engine.window_elems()));
+                    }
+                    if (due > 0 && ++scoring_ticks == faulted_window) {
+                        EXPECT_EQ(due, n_sessions);  // all in step: row i is session i
+                        r.score_before_fault = engine.last_score(faulted);
+                        if (fault) scores[faulted] = bad;
+                    }
+                    for (const trigger_event& e : engine.tick_apply(scores).triggers) {
+                        r.triggers[e.session].push_back(e.sample_index);
+                    }
+                    if (due > 0 && scoring_ticks == faulted_window) {
+                        r.score_after_fault = engine.last_score(faulted);
+                    }
+                }
+                for (std::size_t i = 0; i < n_sessions; ++i) {
+                    r.stats.push_back(engine.stats(static_cast<session_id>(i)));
+                }
+                r.totals = engine.totals();
+                return r;
+            };
+            const run clean = stream(false);
+            const run faulty = stream(true);
+
+            for (std::size_t i = 0; i < n_sessions; ++i) {
+                EXPECT_EQ(faulty.stats[i].windows_scored, clean.stats[i].windows_scored);
+                if (i == faulted) continue;
+                EXPECT_EQ(faulty.triggers[i], clean.triggers[i]) << "session " << i;
+                EXPECT_EQ(faulty.stats[i].score_faults, 0u);
+            }
+            // The clean run fires on window `consecutive` and every one
+            // after; the faulted run loses the faulted window and the
+            // `consecutive - 1` windows its restarted run needs.
+            std::vector<std::size_t> want = clean.triggers[faulted];
+            const std::size_t first_lost = faulted_window - consecutive;
+            ASSERT_GT(want.size(), first_lost + consecutive);
+            want.erase(want.begin() + static_cast<std::ptrdiff_t>(first_lost),
+                       want.begin() + static_cast<std::ptrdiff_t>(first_lost + consecutive));
+            EXPECT_EQ(faulty.triggers[faulted], want);
+            EXPECT_TRUE(std::isfinite(faulty.score_before_fault));
+            EXPECT_EQ(faulty.score_after_fault, faulty.score_before_fault);
+            EXPECT_NE(clean.score_after_fault, clean.score_before_fault);
+            EXPECT_EQ(faulty.stats[faulted].score_faults, 1u);
+            EXPECT_EQ(faulty.totals.score_faults, 1u);
+            EXPECT_EQ(clean.totals.score_faults, 0u);
+            EXPECT_EQ(faulty.totals.triggers + consecutive, clean.totals.triggers);
+        }
+    }
 }
 
 }  // namespace
