@@ -50,6 +50,18 @@ std::size_t engine_config::effective_watermark() const {
     return drain_watermark > 0 ? drain_watermark : queue_capacity / 2;
 }
 
+session_stats& session_stats::operator+=(const session_stats& other) {
+    accepted += other.accepted;
+    dropped += other.dropped;
+    rejected += other.rejected;
+    ingested += other.ingested;
+    windows_scored += other.windows_scored;
+    triggers += other.triggers;
+    nonfinite += other.nonfinite;
+    score_faults += other.score_faults;
+    return *this;
+}
+
 session_engine::session_engine(const engine_config& config, batch_scorer& scorer)
     : config_(config),
       scorer_(&scorer),
@@ -89,11 +101,10 @@ std::size_t session_engine::open_slot() {
         stats_.emplace_back();
     } else {
         // Reused storage: everything but the stale queue entries, which no
-        // read reaches past queue_size_.
+        // read reaches past queue_size_, and the stats, zeroed at eviction.
         queue_head_[slot] = 0;
         queue_size_[slot] = 0;
         drain_rate_[slot] = config_.samples_per_tick;
-        stats_[slot] = {};
     }
     return slot;
 }
@@ -101,17 +112,17 @@ std::size_t session_engine::open_slot() {
 session_id session_engine::create_session() {
     slots_.push_back(static_cast<std::uint32_t>(open_slot()));
     ++live_count_;
-    ++totals_.sessions_created;
     obs::add_counter("serve/sessions_created");
     obs::set_gauge("serve/sessions_live", static_cast<double>(live_count_));
     return static_cast<session_id>(slots_.size() - 1);
 }
 
 void session_engine::evict_session(session_id id) {
-    detectors_.release(slot_of(id));
+    const std::size_t slot = slot_of(id);
+    retired_ += std::exchange(stats_[slot], {});
+    detectors_.release(slot);
     slots_[id] = k_evicted;
     --live_count_;
-    ++totals_.sessions_evicted;
     obs::add_counter("serve/sessions_evicted");
     obs::set_gauge("serve/sessions_live", static_cast<double>(live_count_));
 }
@@ -135,7 +146,6 @@ bool session_engine::feed(session_id id, const data::raw_sample& sample) {
     session_stats& stats = stats_[slot];
     if (!sample_is_finite(sample)) {
         ++stats.nonfinite;
-        ++totals_.nonfinite;
         obs::add_counter("serve/samples_nonfinite");
         return false;
     }
@@ -145,14 +155,12 @@ bool session_engine::feed(session_id id, const data::raw_sample& sample) {
     if (size == capacity) {
         if (config_.policy == drop_policy::reject_newest) {
             ++stats.rejected;
-            ++totals_.rejected;
             obs::add_counter("serve/samples_rejected");
             return false;
         }
         head = head + 1 == capacity ? 0 : head + 1;  // the oldest makes room
         --size;
         ++stats.dropped;
-        ++totals_.dropped;
         obs::add_counter("serve/samples_dropped");
     }
     std::size_t tail = head + size;
@@ -160,13 +168,12 @@ bool session_engine::feed(session_id id, const data::raw_sample& sample) {
     queue_entry(slot, tail) = sample;
     ++size;
     ++stats.accepted;
-    ++totals_.accepted;
     obs::add_counter("serve/samples_in");
     return true;
 }
 
 std::size_t session_engine::tick_ingest() {
-    ++totals_.ticks;
+    ++ticks_;
     due_.clear();
     tick_ingested_ = 0;
     const bool adaptive = config_.adaptive_drain();
@@ -206,7 +213,6 @@ std::size_t session_engine::tick_ingest() {
         stats_[slot].ingested += n;
         tick_ingested_ += n;
     }
-    totals_.ingested += tick_ingested_;
     if (tick_ingested_ > 0) obs::add_counter("stream/samples", tick_ingested_);
     return due_.size();
 }
@@ -221,7 +227,6 @@ tick_result session_engine::tick_apply(std::span<const float> scores) {
     tick_result result;
     result.samples_ingested = tick_ingested_;
     result.windows_scored = due_.size();
-    totals_.windows_scored += due_.size();
 
     // Phase C — apply scores serially in batch order, which is the one
     // canonical trigger and debounce order.
@@ -232,7 +237,6 @@ tick_result session_engine::tick_apply(std::span<const float> scores) {
         ++stats.windows_scored;
         if (!std::isfinite(scores[i])) {
             ++stats.score_faults;
-            ++totals_.score_faults;
             obs::add_counter("serve/score_faults");
         }
         if (const auto d = detectors_.apply_score(slot, scores[i])) {
@@ -241,7 +245,6 @@ tick_result session_engine::tick_apply(std::span<const float> scores) {
             // tick, so use the recorded one.
             result.triggers.push_back({w.session, w.tick, d->probability});
             ++stats.triggers;
-            ++totals_.triggers;
             obs::add_counter("serve/triggers");
         }
     }
@@ -308,6 +311,11 @@ session_id session_engine::restore_session(const session_checkpoint& cp) {
 
 void session_engine::restore_evicted_slot() { slots_.push_back(k_evicted); }
 
+void session_engine::restore_retired(const session_stats& retired, std::uint64_t ticks) {
+    retired_ = retired;
+    ticks_ = ticks;
+}
+
 std::size_t session_engine::queue_depth(session_id id) const {
     return queue_size_[slot_of(id)];
 }
@@ -319,5 +327,15 @@ float session_engine::last_score(session_id id) const {
 }
 
 const session_stats& session_engine::stats(session_id id) const { return stats_[slot_of(id)]; }
+
+engine_stats session_engine::totals() const {
+    engine_stats out;
+    out += retired_;
+    for (const session_stats& s : stats_) out += s;  // free slots hold zeros
+    out.ticks = ticks_;
+    out.sessions_created = slots_.size();
+    out.sessions_evicted = slots_.size() - live_count_;
+    return out;
+}
 
 }  // namespace fallsense::serve

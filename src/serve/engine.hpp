@@ -46,7 +46,8 @@
 // `drop_policy::drop_oldest` evicts the oldest queued sample (freshest-data
 // wins — right for a latency-critical alarm), `drop_policy::reject_newest`
 // refuses the new sample (lossless for already-admitted data — right for
-// replay/backfill).  Both count saturation per session and engine-wide.
+// replay/backfill).  Both count saturation per session; engine totals are
+// those session counters summed, never a second count.
 //
 // Adaptive drain: with `max_samples_per_tick` above `samples_per_tick`, a
 // session whose queue depth exceeds `drain_watermark` doubles its per-tick
@@ -107,6 +108,8 @@ struct engine_config {
 using session_id = std::uint32_t;
 
 /// Per-session lifetime counters (monotonic; survive until eviction).
+/// These are the engine's only counters: engine and fleet totals are sums
+/// of them (see session_engine::totals).
 struct session_stats {
     std::uint64_t accepted = 0;   ///< samples admitted to the queue
     std::uint64_t dropped = 0;    ///< oldest samples evicted (drop_oldest)
@@ -123,21 +126,18 @@ struct session_stats {
     /// Like `nonfinite`, in-memory restores keep it and the v1 snapshot
     /// encoding does not carry it.
     std::uint64_t score_faults = 0;
+
+    /// Field-wise sum.
+    session_stats& operator+=(const session_stats& other);
+    bool operator==(const session_stats&) const = default;
 };
 
-/// Engine-wide totals (sums over all sessions ever hosted).
-struct engine_stats {
-    std::uint64_t accepted = 0;
-    std::uint64_t dropped = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t ingested = 0;
-    std::uint64_t windows_scored = 0;
-    std::uint64_t triggers = 0;
+/// Engine-wide totals: the session counters summed over every session the
+/// engine ever hosted, plus the engine's tick and lifecycle counts.
+struct engine_stats : session_stats {
     std::uint64_t ticks = 0;
     std::uint64_t sessions_created = 0;
     std::uint64_t sessions_evicted = 0;
-    std::uint64_t nonfinite = 0;  ///< samples refused for a non-finite component
-    std::uint64_t score_faults = 0;  ///< windows scored NaN or infinite
 };
 
 /// True when every accel and gyro component of `sample` is finite — the
@@ -220,15 +220,18 @@ public:
     /// `out.global_id` is left untouched — the fleet owns global ids.
     void capture_session(session_id id, session_checkpoint& out) const;
     /// Recreate a session from a checkpoint as the next dense id, which is
-    /// returned.  Unlike create_session this touches no obs metrics and no
-    /// engine totals — a restore reinstalls totals wholesale afterwards via
-    /// restore_totals, and the snapshot's obs image travels separately.
+    /// returned.  Unlike create_session this touches no obs metrics (the
+    /// snapshot's obs image travels separately); the session's stats count
+    /// toward totals() from here on, like any live session's.
     session_id restore_session(const session_checkpoint& cp);
     /// Append an evicted (null) slot so local ids line up with the source
     /// engine's dense id space.
     void restore_evicted_slot();
-    /// Install engine-wide totals (the fleet recomputes these per shard).
-    void restore_totals(const engine_stats& totals) { totals_ = totals; }
+    /// Install the counters of sessions evicted before a snapshot and the
+    /// snapshot's tick count (the fleet restores these per shard).
+    void restore_retired(const session_stats& retired, std::uint64_t ticks);
+    /// Summed stats of every session evicted from this engine.
+    const session_stats& retired() const { return retired_; }
 
     std::size_t live_session_count() const { return live_count_; }
     std::size_t queue_depth(session_id id) const;
@@ -236,9 +239,13 @@ public:
     std::size_t drain_rate(session_id id) const;
     /// Session-local last finite score (NaN before the first).
     float last_score(session_id id) const;
-    /// Valid until the next create_session / restore_session.
+    /// Valid until the next create_session / restore_session; eviction
+    /// zeroes the row.
     const session_stats& stats(session_id id) const;
-    const engine_stats& totals() const { return totals_; }
+    /// retired() plus every live session's stats, the engine's tick count,
+    /// and the created/evicted counts of the id index.  Walks the per-slot
+    /// stats, so it costs O(live sessions); not for per-sample use.
+    engine_stats totals() const;
     const engine_config& config() const { return config_; }
     batch_scorer& scorer() { return *scorer_; }
 
@@ -261,7 +268,8 @@ private:
     std::size_t window_elems_ = 0;
     std::vector<std::uint32_t> slots_;  ///< index == id; k_evicted once evicted
     std::size_t live_count_ = 0;
-    engine_stats totals_;
+    std::uint64_t ticks_ = 0;
+    session_stats retired_;  ///< evicted sessions' stats, added at eviction
     static constexpr std::size_t k_queue_block_slots = 32;
     /// Queue rings of k_queue_block_slots slots per block, entry-major:
     /// [queue_capacity][k_queue_block_slots] samples, never zero-filled.
@@ -270,7 +278,7 @@ private:
     std::vector<std::size_t> queue_head_;  ///< ring index of the oldest; 0 when empty
     std::vector<std::size_t> queue_size_;
     std::vector<std::size_t> drain_rate_;  ///< samples dequeued per tick (adaptive)
-    std::vector<session_stats> stats_;
+    std::vector<session_stats> stats_;  ///< zeroed while the slot is free
     /// One window assembled by the last tick_ingest, in batch order.
     struct due_window {
         session_id session;

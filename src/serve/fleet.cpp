@@ -86,8 +86,8 @@ const session_engine& fleet_router::shard(std::size_t index) const {
 }
 
 const fleet_router::route& fleet_router::route_of(session_id id) const {
-    FS_ARG_CHECK(id < routes_.size() && routes_[id].live,
-                 "unknown or evicted session id");
+    // An evicted id still routes; its shard engine refuses it.
+    FS_ARG_CHECK(id < routes_.size(), "unknown or evicted session id");
     return routes_[id];
 }
 
@@ -98,7 +98,7 @@ session_id fleet_router::create_session() {
     const session_id local = sh.engine.create_session();
     FS_CHECK(local == sh.local_to_global.size(), "shard-local session ids must be dense");
     sh.local_to_global.push_back(id);
-    routes_.push_back({static_cast<std::uint32_t>(s), local, true});
+    routes_.push_back({static_cast<std::uint32_t>(s), local});
     // The shard's engine set the gauge to its own live count; the fleet
     // value is the one observers should see.
     obs::set_gauge("serve/sessions_live", static_cast<double>(live_session_count()));
@@ -108,12 +108,11 @@ session_id fleet_router::create_session() {
 void fleet_router::evict_session(session_id id) {
     const route& r = route_of(id);
     shards_[r.shard]->engine.evict_session(r.local);
-    routes_[id].live = false;
     obs::set_gauge("serve/sessions_live", static_cast<double>(live_session_count()));
 }
 
 bool fleet_router::is_live(session_id id) const {
-    return id < routes_.size() && routes_[id].live;
+    return id < routes_.size() && shards_[routes_[id].shard]->engine.is_live(routes_[id].local);
 }
 
 bool fleet_router::feed(session_id id, const data::raw_sample& sample) {
@@ -263,34 +262,17 @@ fleet_checkpoint fleet_router::snapshot() const {
     cp.shard_count = static_cast<std::uint32_t>(shards_.size());
     cp.live.resize(routes_.size());
     cp.sessions.reserve(live_session_count());
-    // Live-session stat sums per shard, to back out the retired remainder.
-    std::vector<session_stats> live_sums(shards_.size());
     for (std::size_t id = 0; id < routes_.size(); ++id) {
         const route& r = routes_[id];
-        cp.live[id] = r.live ? 1 : 0;
-        if (!r.live) continue;
+        const session_engine& engine = shards_[r.shard]->engine;
+        cp.live[id] = engine.is_live(r.local) ? 1 : 0;
+        if (!cp.live[id]) continue;
         session_checkpoint& sc = cp.sessions.emplace_back();
-        shards_[r.shard]->engine.capture_session(r.local, sc);
+        engine.capture_session(r.local, sc);
         sc.global_id = static_cast<session_id>(id);
-        session_stats& sum = live_sums[r.shard];
-        sum.accepted += sc.stats.accepted;
-        sum.dropped += sc.stats.dropped;
-        sum.rejected += sc.stats.rejected;
-        sum.ingested += sc.stats.ingested;
-        sum.windows_scored += sc.stats.windows_scored;
-        sum.triggers += sc.stats.triggers;
-        sum.nonfinite += sc.stats.nonfinite;
-        sum.score_faults += sc.stats.score_faults;
     }
-    cp.retired.resize(shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-        const engine_stats& t = shards_[s]->engine.totals();
-        const session_stats& sum = live_sums[s];
-        cp.retired[s] = {t.accepted - sum.accepted,       t.dropped - sum.dropped,
-                         t.rejected - sum.rejected,       t.ingested - sum.ingested,
-                         t.windows_scored - sum.windows_scored, t.triggers - sum.triggers,
-                         t.nonfinite - sum.nonfinite,       t.score_faults - sum.score_faults};
-    }
+    cp.retired.reserve(shards_.size());
+    for (const auto& sh : shards_) cp.retired.push_back(sh->engine.retired());
     return cp;
 }
 
@@ -317,8 +299,6 @@ void fleet_router::restore(const fleet_checkpoint& cp) {
 
     // Replay the dense global id space in order: every id hashes to its
     // shard exactly as live admission would have routed it.
-    std::vector<session_stats> live_sums(shards_.size());
-    std::vector<std::uint64_t> evicted(shards_.size(), 0);
     auto next = cp.sessions.begin();
     routes_.reserve(cp.live.size());
     for (std::size_t id = 0; id < cp.live.size(); ++id) {
@@ -329,64 +309,29 @@ void fleet_router::restore(const fleet_checkpoint& cp) {
             FS_ARG_CHECK(next != cp.sessions.end() && next->global_id == id,
                          "fleet checkpoint sessions must be ascending and match the live set");
             local = sh.engine.restore_session(*next);
-            session_stats& sum = live_sums[s];
-            sum.accepted += next->stats.accepted;
-            sum.dropped += next->stats.dropped;
-            sum.rejected += next->stats.rejected;
-            sum.ingested += next->stats.ingested;
-            sum.windows_scored += next->stats.windows_scored;
-            sum.triggers += next->stats.triggers;
-            sum.nonfinite += next->stats.nonfinite;
-            sum.score_faults += next->stats.score_faults;
             ++next;
         } else {
             sh.engine.restore_evicted_slot();
             local = static_cast<session_id>(sh.local_to_global.size());
-            ++evicted[s];
         }
         FS_CHECK(local == sh.local_to_global.size(), "shard-local session ids must be dense");
         sh.local_to_global.push_back(static_cast<session_id>(id));
-        routes_.push_back({static_cast<std::uint32_t>(s), local, cp.live[id] != 0});
+        routes_.push_back({static_cast<std::uint32_t>(s), local});
     }
     FS_ARG_CHECK(next == cp.sessions.end(),
                  "fleet checkpoint carries sessions missing from the live set");
 
-    // Reinstall per-shard totals: live sums plus the retired remainder.
-    // When the shard layout is unchanged the remainder is exact per shard;
-    // under a resize the retired history cannot be attributed (the sessions
-    // are gone), so it folds into shard 0 — fleet-wide sums stay exact.
+    // Reinstall the retired stats of sessions evicted before the snapshot.
+    // When the shard layout is unchanged they go back to their shards; under
+    // a resize the evicted sessions have no shard to go to, so they fold
+    // into shard 0 — fleet-wide totals stay exact either way.
     const bool same_layout = cp.shard_count == shards_.size();
-    session_stats folded{};
-    if (!same_layout) {
-        for (const session_stats& r : cp.retired) {
-            folded.accepted += r.accepted;
-            folded.dropped += r.dropped;
-            folded.rejected += r.rejected;
-            folded.ingested += r.ingested;
-            folded.windows_scored += r.windows_scored;
-            folded.triggers += r.triggers;
-            folded.nonfinite += r.nonfinite;
-            folded.score_faults += r.score_faults;
-        }
-    }
+    session_stats folded;
+    for (const session_stats& r : cp.retired) folded += r;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-        shard_slot& sh = *shards_[s];
-        static const session_stats zero{};
-        const session_stats& retired =
-            same_layout ? cp.retired[s] : (s == 0 ? folded : zero);
-        engine_stats t;
-        t.accepted = live_sums[s].accepted + retired.accepted;
-        t.dropped = live_sums[s].dropped + retired.dropped;
-        t.rejected = live_sums[s].rejected + retired.rejected;
-        t.ingested = live_sums[s].ingested + retired.ingested;
-        t.windows_scored = live_sums[s].windows_scored + retired.windows_scored;
-        t.triggers = live_sums[s].triggers + retired.triggers;
-        t.nonfinite = live_sums[s].nonfinite + retired.nonfinite;
-        t.score_faults = live_sums[s].score_faults + retired.score_faults;
-        t.ticks = cp.ticks;
-        t.sessions_created = sh.local_to_global.size();
-        t.sessions_evicted = evicted[s];
-        sh.engine.restore_totals(t);
+        const session_stats retired =
+            same_layout ? cp.retired[s] : (s == 0 ? folded : session_stats{});
+        shards_[s]->engine.restore_retired(retired, cp.ticks);
     }
     ticks_ = cp.ticks;
     swap_generation_ = cp.swap_generation;
@@ -434,20 +379,10 @@ const session_stats& fleet_router::stats(session_id id) const {
 
 engine_stats fleet_router::totals() const {
     engine_stats out;
-    for (const auto& sh : shards_) {
-        const engine_stats& t = sh->engine.totals();
-        out.accepted += t.accepted;
-        out.dropped += t.dropped;
-        out.rejected += t.rejected;
-        out.ingested += t.ingested;
-        out.windows_scored += t.windows_scored;
-        out.triggers += t.triggers;
-        out.sessions_created += t.sessions_created;
-        out.sessions_evicted += t.sessions_evicted;
-        out.nonfinite += t.nonfinite;
-        out.score_faults += t.score_faults;
-    }
+    for (const auto& sh : shards_) out += sh->engine.totals();
     out.ticks = ticks_;
+    out.sessions_created = routes_.size();
+    out.sessions_evicted = routes_.size() - live_session_count();
     return out;
 }
 

@@ -81,8 +81,8 @@ struct fleet_checkpoint {
     std::uint32_t shard_count = 0;
     std::vector<std::uint8_t> live;  ///< index == global id, 1 = live
     std::vector<session_checkpoint> sessions;  ///< live only, ascending id
-    /// Per capture-shard sample counters of sessions evicted before the
-    /// snapshot (shard totals minus live-session sums).  Restored exactly
+    /// Per capture-shard counters of sessions evicted before the snapshot
+    /// (each shard engine's `retired()` accumulator).  Restored exactly
     /// when the shard count is unchanged; folded into shard 0 otherwise
     /// (fleet-wide totals — the observable surface — stay exact either way).
     std::vector<session_stats> retired;
@@ -161,7 +161,8 @@ public:
     std::size_t drain_rate(session_id id) const;
     float last_score(session_id id) const;
     const session_stats& stats(session_id id) const;
-    /// Shard totals summed; `ticks` counts router ticks (not shard ticks).
+    /// Shard totals summed, so O(live sessions) like the engine's; `ticks`
+    /// counts router ticks, and created/evicted come from the route table.
     engine_stats totals() const;
     const fleet_config& config() const { return config_; }
     /// Per-phase wall-clock of the most recent tick().
@@ -169,12 +170,13 @@ public:
 
 private:
     struct shard_slot;
+    /// Where a session lives; liveness is the shard engine's to answer.
     struct route {
         std::uint32_t shard = 0;
         session_id local = 0;  ///< id inside the shard's engine
-        bool live = false;
     };
 
+    /// Throws for ids never issued; an evicted id's shard engine throws.
     const route& route_of(session_id id) const;
     void score_fused(std::size_t total_windows);
     void score_per_shard();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "dsp/biquad.hpp"
 #include "util/rng.hpp"
@@ -71,9 +72,13 @@ INSTANTIATE_TEST_SUITE_P(
                       design_params{4, 10.0, 100.0}, design_params{4, 5.0, 200.0},
                       design_params{8, 20.0, 1000.0}),
     [](const ::testing::TestParamInfo<design_params>& info) {
-        return "o" + std::to_string(info.param.order) + "_fc" +
-               std::to_string(static_cast<int>(info.param.cutoff_hz)) + "_fs" +
-               std::to_string(static_cast<int>(info.param.sample_rate_hz));
+        std::string name = "o";
+        name += std::to_string(info.param.order);
+        name += "_fc";
+        name += std::to_string(static_cast<int>(info.param.cutoff_hz));
+        name += "_fs";
+        name += std::to_string(static_cast<int>(info.param.sample_rate_hz));
+        return name;
     });
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <string>
 
 #include "dsp/fusion.hpp"
 #include "util/rng.hpp"
@@ -53,8 +54,9 @@ TEST_P(FusionBlend, BoundedUnderNoisyInput) {
 INSTANTIATE_TEST_SUITE_P(Blends, FusionBlend,
                          ::testing::Values(0.0, 0.5, 0.9, 0.98, 1.0),
                          [](const ::testing::TestParamInfo<double>& info) {
-                             return "w" + std::to_string(
-                                              static_cast<int>(info.param * 100));
+                             std::string name = "w";
+                             name += std::to_string(static_cast<int>(info.param * 100));
+                             return name;
                          });
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "nn/activations.hpp"
 #include "nn/conv1d.hpp"
 #include "nn/dense.hpp"
@@ -16,7 +18,10 @@ std::unique_ptr<multi_branch_network> make_tiny_network(util::rng& gen) {
     std::vector<std::unique_ptr<sequential>> branches;
     for (int b = 0; b < 3; ++b) {
         auto branch = std::make_unique<sequential>();
-        branch->emplace<conv1d>(3, 4, 3, gen, "b" + std::to_string(b) + ".conv");
+        std::string name = "b";
+        name += std::to_string(b);
+        name += ".conv";
+        branch->emplace<conv1d>(3, 4, 3, gen, name);
         branch->emplace<relu>();
         branch->emplace<maxpool1d>(2);
         branch->emplace<flatten>();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/models.hpp"
 #include "quant/quantized_cnn.hpp"
@@ -83,7 +84,9 @@ INSTANTIATE_TEST_SUITE_P(WindowSizes, QuantizationSweep,
                          ::testing::Values(std::size_t{10}, std::size_t{20},
                                            std::size_t{30}, std::size_t{40}),
                          [](const ::testing::TestParamInfo<std::size_t>& info) {
-                             return "w" + std::to_string(info.param);
+                             std::string name = "w";
+                             name += std::to_string(info.param);
+                             return name;
                          });
 
 }  // namespace

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <limits>
 #include <map>
+#include <string>
 
+#include "ckpt/checkpoint.hpp"
+#include "ckpt/store.hpp"
 #include "data/synthesizer.hpp"
 #include "serve/scorer_factory.hpp"
 #include "util/thread_pool.hpp"
@@ -110,6 +114,240 @@ TEST(FleetRouterTest, NonFiniteCountsSurviveRebalanceAndEviction) {
     EXPECT_EQ(fleet.totals().nonfinite, 21u);
     EXPECT_EQ(fleet.totals().rejected, 0u);
     for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(fleet.stats(ids[i]).nonfinite, i + 1);
+}
+
+/// freefall_scorer, except that an all-zero window — what a session fed
+/// only zero samples assembles — scores NaN: a scorer fault on demand.
+float faulting_scorer(std::span<const float> window) {
+    for (const float v : window) {
+        if (v != 0.0f) return freefall_scorer(window);
+    }
+    return std::numeric_limits<float>::quiet_NaN();
+}
+
+std::unique_ptr<batch_scorer> faulting() {
+    scorer_spec spec;
+    spec.backend = scorer_backend::callback;
+    spec.window_samples = 20;
+    spec.callback = faulting_scorer;
+    spec.label = "faulting";
+    return make_scorer(spec);
+}
+
+std::array<std::uint64_t, 11> fields(const engine_stats& t) {
+    return {t.accepted,  t.dropped,   t.rejected,     t.ingested,
+            t.windows_scored, t.triggers, t.nonfinite, t.score_faults,
+            t.ticks,     t.sessions_created, t.sessions_evicted};
+}
+
+/// The test's own serving ledger: which ids are live, the router tick
+/// count, and every evicted session's final stats(id), summed per shard
+/// that held it.  Engine and fleet totals must equal what it implies.
+struct ledger {
+    std::vector<bool> live;  ///< index == router-global id
+    std::vector<session_stats> retired;  ///< index == shard
+    std::uint64_t ticks = 0;
+
+    session_id create(fleet_router& fleet) {
+        const session_id id = fleet.create_session();
+        EXPECT_EQ(id, live.size());
+        live.push_back(true);
+        return id;
+    }
+
+    void evict(fleet_router& fleet, session_id id) {
+        retired[fleet.shard_of(id)] += fleet.stats(id);
+        fleet.evict_session(id);
+        live[id] = false;
+    }
+
+    /// A restore into a different shard count folds all retired history
+    /// into shard 0.
+    void resize(std::size_t shards) {
+        session_stats all;
+        for (const session_stats& r : retired) all += r;
+        retired.assign(shards, session_stats{});
+        retired[0] = all;
+    }
+
+    void expect_totals(const fleet_router& fleet, const std::string& where) const {
+        ASSERT_EQ(retired.size(), fleet.shard_count()) << where;
+        std::vector<engine_stats> want(fleet.shard_count());
+        for (std::size_t s = 0; s < want.size(); ++s) {
+            want[s] += retired[s];
+            want[s].ticks = ticks;
+        }
+        for (session_id id = 0; id < live.size(); ++id) {
+            engine_stats& w = want[fleet.shard_of(id)];
+            ++w.sessions_created;
+            EXPECT_EQ(fleet.is_live(id), live[id]) << where << " id " << id;
+            if (live[id]) {
+                w += fleet.stats(id);
+            } else {
+                ++w.sessions_evicted;
+            }
+        }
+        engine_stats all;
+        for (std::size_t s = 0; s < want.size(); ++s) {
+            EXPECT_EQ(fields(fleet.shard(s).totals()), fields(want[s])) << where << " shard " << s;
+            all += want[s];
+            all.sessions_created += want[s].sessions_created;
+            all.sessions_evicted += want[s].sessions_evicted;
+        }
+        all.ticks = ticks;
+        EXPECT_EQ(fields(fleet.totals()), fields(all)) << where;
+    }
+};
+
+TEST(FleetRouterTest, TotalsAreRetiredPlusLiveSessionStats) {
+    // Totals carry no count of their own: through churn, both saturation
+    // policies, refused NaN samples and NaN scores, every shard's totals
+    // equal its live sessions' stats plus the final stats of the sessions
+    // it evicted — and stay so across snapshot/restore, rebalance and the
+    // v1 encoding.
+    std::vector<data::trial> trials;
+    for (std::size_t i = 0; i < 4; ++i) trials.push_back(make_trial(i % 2 == 0 ? 30 : 6, 70 + i));
+    data::raw_sample nan_sample{};
+    nan_sample.accel[0] = std::numeric_limits<float>::quiet_NaN();
+
+    for (const drop_policy policy : {drop_policy::drop_oldest, drop_policy::reject_newest}) {
+        SCOPED_TRACE(drop_policy_name(policy));
+        fleet_config config = make_config(3);
+        config.engine.policy = policy;
+        fleet_router fleet(config, faulting());
+        ledger book{{}, std::vector<session_stats>(3), 0};
+
+        // One zero-fed "fault" session per shard, and regular sessions.
+        std::array<session_id, 3> faulty{};
+        std::array<bool, 3> have{};
+        std::vector<session_id> regular;
+        while (!(have[0] && have[1] && have[2]) || regular.size() < 9) {
+            const session_id id = book.create(fleet);
+            const std::size_t s = fleet.shard_of(id);
+            if (!have[s]) {
+                faulty[s] = id;
+                have[s] = true;
+            } else {
+                regular.push_back(id);
+            }
+        }
+        // The sessions saturated and fed NaN: the first regular one per shard.
+        std::vector<session_id> marked;
+        for (std::size_t s = 0; s < 3; ++s) {
+            for (const session_id id : regular) {
+                if (fleet.shard_of(id) == s) {
+                    marked.push_back(id);
+                    break;
+                }
+            }
+        }
+        ASSERT_EQ(marked.size(), 3u);
+
+        std::map<session_id, std::size_t> cursor;
+        const auto run_ticks = [&](std::size_t count) {
+            for (std::size_t t = 0; t < count; ++t) {
+                for (std::size_t i = 0; i < regular.size(); ++i) {
+                    if (!book.live[regular[i]]) continue;
+                    const auto& samples = trials[i % trials.size()].samples;
+                    fleet.feed(regular[i], samples[cursor[regular[i]]++ % samples.size()]);
+                }
+                fleet.tick();
+                ++book.ticks;
+            }
+        };
+
+        // Exactly 20 zero samples: one window each, which scores NaN.
+        for (std::size_t t = 0; t < 20; ++t) {
+            for (const session_id id : faulty) ASSERT_TRUE(fleet.feed(id, data::raw_sample{}));
+            run_ticks(1);
+        }
+        for (std::size_t s = 0; s < 3; ++s) {
+            EXPECT_EQ(fleet.stats(faulty[s]).score_faults, 1u);
+            EXPECT_EQ(fleet.shard(s).totals().score_faults, 1u);
+        }
+        // Saturation: 6 samples plus the next tick's own against a 4-deep
+        // queue, so 3 refused or dropped per session.
+        for (const session_id id : marked) {
+            for (int k = 0; k < 6; ++k) fleet.feed(id, trials[0].samples[k]);
+            EXPECT_FALSE(fleet.feed(id, nan_sample));
+        }
+        run_ticks(15);
+        book.expect_totals(fleet, "before churn");
+
+        // Churn: the saturated sessions and two fault sessions retire.
+        for (const session_id id : marked) book.evict(fleet, id);
+        book.evict(fleet, faulty[0]);
+        book.evict(fleet, faulty[1]);
+        for (int k = 0; k < 4; ++k) regular.push_back(book.create(fleet));
+        run_ticks(trials[0].sample_count());
+        const engine_stats run = fleet.totals();
+        EXPECT_EQ(run.nonfinite, 3u);
+        EXPECT_EQ(run.score_faults, 3u);
+        EXPECT_EQ(policy == drop_policy::drop_oldest ? run.dropped : run.rejected, 9u);
+        EXPECT_EQ(policy == drop_policy::drop_oldest ? run.rejected : run.dropped, 0u);
+        EXPECT_GT(run.triggers, 0u);
+        book.expect_totals(fleet, "after the run");
+
+        // An evicted id stays dead; one never issued is unknown.
+        const session_id gone = marked[0];
+        const session_id unissued = static_cast<session_id>(book.live.size());
+        EXPECT_FALSE(fleet.is_live(gone));
+        EXPECT_FALSE(fleet.is_live(unissued));
+        for (const session_id id : {gone, unissued}) {
+            try {
+                fleet.evict_session(id);
+                ADD_FAILURE() << "evicting id " << id << " must throw";
+            } catch (const std::invalid_argument& e) {
+                EXPECT_NE(std::string(e.what()).find("unknown or evicted session id"),
+                          std::string::npos);
+            }
+            EXPECT_THROW(fleet.feed(id, data::raw_sample{}), std::invalid_argument);
+            EXPECT_THROW((void)fleet.stats(id), std::invalid_argument);
+        }
+
+        fleet_router restored(config, faulting());
+        restored.restore(fleet.snapshot());
+        book.expect_totals(restored, "after restore into 3 shards");
+
+        restored.rebalance(5);
+        book.resize(5);
+        book.expect_totals(restored, "after rebalance(5)");
+
+        // The v1 encoding carries six counters per record: nonfinite and
+        // score_faults restart at 0, retired and live alike.
+        std::map<session_id, session_stats> before;
+        for (session_id id = 0; id < book.live.size(); ++id) {
+            if (book.live[id]) before[id] = restored.stats(id);
+        }
+        fleet_config five = config;
+        five.shards = 5;
+        ckpt::fleet_snapshot snap;
+        snap.config = ckpt::fingerprint_of(five);
+        snap.fleet = restored.snapshot();
+        ckpt::fleet_snapshot decoded;
+        ASSERT_EQ(ckpt::decode_snapshot(ckpt::encode_snapshot(snap), decoded),
+                  ckpt::decode_status::ok);
+        fleet_router reloaded(five, faulting());
+        reloaded.restore(decoded.fleet);
+        for (session_stats& r : book.retired) r.nonfinite = r.score_faults = 0;
+        for (auto& [id, stats] : before) {
+            stats.nonfinite = stats.score_faults = 0;
+            EXPECT_EQ(reloaded.stats(id), stats) << "id " << id;
+        }
+        book.expect_totals(reloaded, "after encode/decode");
+
+        // And the bookkeeping keeps working on the decoded fleet.
+        book.evict(reloaded, faulty[2]);
+        book.evict(reloaded, regular.back());
+        for (std::size_t t = 0; t < 5; ++t) {
+            for (const session_id id : regular) {
+                if (book.live[id]) reloaded.feed(id, trials[1].samples[t]);
+            }
+            reloaded.tick();
+            ++book.ticks;
+        }
+        book.expect_totals(reloaded, "after churn on the decoded fleet");
+    }
 }
 
 TEST(FleetRouterTest, ConfigValidation) {

@@ -112,8 +112,8 @@ TEST(ScenarioEvalTest, BaselineScenarioReplaysTheTwoArgStreams) {
 
 TEST(ScenarioEvalTest, ScenariosActuallyChangeTheTraffic) {
     const auto baseline = synthesize_fleet_streams(4, 77, data::make_profile("baseline"));
-    for (const std::string& name : {"near_fall", "trip_catch", "vehicle_vibration",
-                                    "sensor_dropout"}) {
+    for (const char* name : {"near_fall", "trip_catch", "vehicle_vibration",
+                             "sensor_dropout"}) {
         const auto streams = synthesize_fleet_streams(4, 77, data::make_profile(name));
         bool differs = false;
         for (std::size_t i = 0; i < streams.size() && !differs; ++i) {
